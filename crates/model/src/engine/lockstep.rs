@@ -6,7 +6,9 @@ use sskel_graph::{Digraph, ProcessId, Round, FIRST_ROUND};
 
 use crate::algorithm::{Received, RoundAlgorithm};
 use crate::engine::RunUntil;
-use crate::fault::{ArcTransport, CodecTransport, Delivery, FaultCause, FaultPlane, Transport};
+use crate::fault::{
+    ArcTransport, CodecTransport, DecodeCache, Delivery, FaultCause, FaultPlane, Transport,
+};
 use crate::schedule::Schedule;
 use crate::trace::RunTrace;
 use crate::wire::{Wire, WireSized};
@@ -103,14 +105,15 @@ where
     let mut trace = RunTrace::new(n);
 
     // Round-loop buffers, reused across rounds: the communication graph,
-    // the broadcast vector, its packed frames, one delivery vector, and
-    // the per-sender receiver counts (popcounted once per round, not once
-    // per message).
+    // the broadcast vector, its packed frames, one delivery vector, the
+    // per-sender receiver counts (popcounted once per round, not once per
+    // message), and the decode memo (one decode per sender per round).
     let mut g = Digraph::empty(n);
     let mut msgs: Vec<Arc<A::Msg>> = Vec::with_capacity(n);
     let mut frames: Vec<T::Frame> = Vec::with_capacity(n);
     let mut rcv: Received<A::Msg> = Received::new(n);
     let mut receivers: Vec<u64> = vec![0; n];
+    let mut cache: DecodeCache<A::Msg> = DecodeCache::new();
 
     let mut r: Round = FIRST_ROUND;
     loop {
@@ -146,7 +149,7 @@ where
             let me = ProcessId::from_usize(p);
             rcv.clear();
             for q in g.in_neighbors(me).iter() {
-                match transport.unpack(r, q, me, frames[q.index()].clone()) {
+                match transport.unpack(r, q, me, frames[q.index()].clone(), &mut cache) {
                     Delivery::Deliver(m) => rcv.insert(q, m),
                     Delivery::Dropped => trace.faults.record(r, q, me, FaultCause::Dropped),
                     Delivery::Quarantined(e) => {
@@ -159,6 +162,7 @@ where
         // Drop this round's handles so `send` state can be reclaimed at the
         // start of the next round.
         rcv.clear();
+        cache.clear();
 
         // Poll decisions.
         for (p, alg) in algs.iter().enumerate() {

@@ -374,10 +374,9 @@ where
     // Per-tick schedule-synthesis cache: (schedule key, local round) → the
     // active instance that already synthesized that graph this tick.
     let mut synth: Vec<((usize, Round), usize)> = Vec::new();
-    // Decode-sharing memo: batches (and the stash) keep a broadcast's
-    // repeated frames adjacent, so consecutive same-(round, sender, bytes)
-    // unpacks share one decode — per-packet engines never see this
-    // adjacency, which is a real throughput edge of batching.
+    // Decode-sharing memo: one decode per (round, sender, bytes) shared by
+    // every resident receiver of a broadcast, across batches and the
+    // stash. Instances colliding on (round, sender) miss on the bytes.
     let mut cache: DecodeCache<A::Msg> = DecodeCache::new();
 
     let mut tick: Round = FIRST_ROUND;
@@ -477,7 +476,7 @@ where
                 let meta = &metas[i];
                 let r = tick - meta.admit_at + 1;
                 let frame = payload.slice(bf.offset..bf.offset + bf.frame.len());
-                match transport.unpack_cached(r, bf.from, bf.to, frame, &mut cache) {
+                match transport.unpack(r, bf.from, bf.to, frame, &mut cache) {
                     Delivery::Deliver(msg) => {
                         let buf = buffers[i].as_mut().expect("frame for inactive instance");
                         buf.rcvs[bf.to.index() - meta.ranges[me].start].insert(bf.from, msg);
@@ -502,7 +501,7 @@ where
             let range = &meta.ranges[me];
             let buf = buffers[i].as_mut().expect("active instance has buffers");
             for (p, v, frame) in buf.stash.drain(..) {
-                match transport.unpack_cached(r, p, v, frame, &mut cache) {
+                match transport.unpack(r, p, v, frame, &mut cache) {
                     Delivery::Deliver(msg) => {
                         buf.rcvs[v.index() - range.start].insert(p, msg);
                     }
@@ -533,6 +532,7 @@ where
                 }
             }
         }
+        cache.clear();
 
         // 5. Close the tick with the run's only barrier, then evaluate
         // every active instance's verdict. All shards read the same flag

@@ -35,7 +35,7 @@ use sskel_graph::{Digraph, ProcessId, Round, FIRST_ROUND};
 use crate::adversary::CrashRestartOverlay;
 use crate::algorithm::{Received, Recoverable};
 use crate::engine::RunUntil;
-use crate::fault::{CodecTransport, Delivery, FaultCause, FaultPlane, Transport};
+use crate::fault::{CodecTransport, DecodeCache, Delivery, FaultCause, FaultPlane, Transport};
 use crate::journal::{
     scan, JournalHeader, JournalWriter, ResumeError, RoundRecord, RunMeta, SnapshotRecord,
     ENGINE_LOCKSTEP_JOURNALED, JOURNAL_VERSION,
@@ -109,6 +109,7 @@ where
     let mut g = Digraph::empty(n);
     let mut frames: Vec<Option<Bytes>> = vec![None; n];
     let mut rcv: Received<A::Msg> = Received::new(n);
+    let mut cache: DecodeCache<A::Msg> = DecodeCache::new();
 
     for r in FIRST_ROUND..=horizon {
         // Kill and restart events fire at the top of the round: a killed
@@ -172,7 +173,7 @@ where
                 let frame = frames[q.index()]
                     .clone()
                     .expect("a live process has only live in-neighbors");
-                match transport.unpack(r, q, pid, frame.clone()) {
+                match transport.unpack(r, q, pid, frame.clone(), &mut cache) {
                     Delivery::Deliver(m) => {
                         rcv.insert(q, m);
                         if wants_log {
@@ -204,6 +205,7 @@ where
             }
         }
         rcv.clear();
+        cache.clear();
         trace.rounds_executed = r;
     }
 
@@ -255,6 +257,7 @@ where
     // lint: allow(panic) — restore failure is a harness bug, not wire data.
     let mut alg = A::restore(&store.snapshot)
         .expect("snapshot written by Recoverable::snapshot must restore");
+    let mut cache: DecodeCache<A::Msg> = DecodeCache::new();
     debug_assert_eq!(
         store.log.len() as Round,
         store.kill.min(now) - store.cut - 1,
@@ -268,7 +271,7 @@ where
             // above: one log entry per live round in `cut+1..kill`.
             let entries = &store.log[(r - store.cut - 1) as usize];
             for (q, frame) in entries {
-                match transport.unpack(r, *q, p, frame.clone()) {
+                match transport.unpack(r, *q, p, frame.clone(), &mut cache) {
                     Delivery::Deliver(m) => rcv.insert(*q, m),
                     // The log holds only frames that unpacked to a
                     // delivery, and the fault plane is pure.
@@ -291,7 +294,7 @@ where
             trace.msg_stats.broadcast_bytes += sz;
             trace.msg_stats.deliveries += 1;
             trace.msg_stats.delivered_bytes += sz;
-            match transport.unpack(r, p, p, transport.pack(&msg)) {
+            match transport.unpack(r, p, p, transport.pack(&msg), &mut cache) {
                 Delivery::Deliver(m) => rcv.insert(p, m),
                 // lint: allow(panic) — loopback frames are never tampered
                 // (FaultPlane contract); violation is a harness bug.
@@ -299,6 +302,7 @@ where
             }
         }
         alg.receive(r, rcv);
+        cache.clear();
         // Decisions reached in replayed rounds carry the replayed round
         // number; re-polling a round that already ran live re-records the
         // same value, which the trace treats as a no-op.
@@ -407,6 +411,7 @@ where
     let mut frames: Vec<Bytes> = Vec::with_capacity(n);
     let mut rcv: Received<A::Msg> = Received::new(n);
     let mut receivers: Vec<u64> = vec![0; n];
+    let mut cache: DecodeCache<A::Msg> = DecodeCache::new();
 
     let mut r: Round = start;
     loop {
@@ -438,7 +443,7 @@ where
             let me = ProcessId::from_usize(p);
             rcv.clear();
             for q in g.in_neighbors(me).iter() {
-                match transport.unpack(r, q, me, frames[q.index()].clone()) {
+                match transport.unpack(r, q, me, frames[q.index()].clone(), &mut cache) {
                     Delivery::Deliver(m) => rcv.insert(q, m),
                     Delivery::Dropped => trace.faults.record(r, q, me, FaultCause::Dropped),
                     Delivery::Quarantined(e) => {
@@ -449,6 +454,7 @@ where
             alg.receive(r, &rcv);
         }
         rcv.clear();
+        cache.clear();
 
         for (p, alg) in algs.iter().enumerate() {
             if let Some(v) = alg.decision() {
@@ -534,6 +540,7 @@ where
     let transport = CodecTransport::new(plane);
     let mut g = Digraph::empty(n);
     let mut rcv: Received<A::Msg> = Received::new(n);
+    let mut cache: DecodeCache<A::Msg> = DecodeCache::new();
     let mut stopped = false;
     for rec in &scanned.rounds {
         let r = rec.round;
@@ -541,7 +548,9 @@ where
         for (p, frame) in rec.frames.iter().enumerate() {
             // Senders must re-decode their own frame for the byte
             // accounting; this also rejects adversarial journals whose
-            // frames don't hold a valid message.
+            // frames don't hold a valid message, whether or not any
+            // receiver takes them. The decode fills the sender's memo
+            // slot, so its untampered receivers below share it.
             let m: A::Msg = crate::fault::open(frame.as_slice())?;
             let me = ProcessId::from_usize(p);
             let sz = m.wire_bytes() as u64;
@@ -555,6 +564,7 @@ where
             trace.msg_stats.broadcast_bytes += sz;
             trace.msg_stats.deliveries += cnt;
             trace.msg_stats.delivered_bytes += sz * cnt;
+            cache.insert(r, me, frame.clone(), Arc::new(m));
         }
         for (p, alg) in algs.iter_mut().enumerate() {
             let me = ProcessId::from_usize(p);
@@ -564,7 +574,7 @@ where
                     .frames
                     .get(q.index())
                     .ok_or(WireError::InvalidValue("round record universe mismatch"))?;
-                match transport.unpack(r, q, me, frame.clone()) {
+                match transport.unpack(r, q, me, frame.clone(), &mut cache) {
                     Delivery::Deliver(m) => {
                         if r > cut {
                             rcv.insert(q, m);
@@ -581,6 +591,7 @@ where
             }
         }
         rcv.clear();
+        cache.clear();
         if r > cut {
             for (p, alg) in algs.iter().enumerate() {
                 if let Some(v) = alg.decision() {

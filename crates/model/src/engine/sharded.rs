@@ -51,7 +51,8 @@ use sskel_graph::{Digraph, ProcessId, Round, FIRST_ROUND};
 use crate::algorithm::{Received, RoundAlgorithm, Value};
 use crate::engine::RunUntil;
 use crate::fault::{
-    ArcTransport, CodecTransport, Delivery, FaultCause, FaultPlane, FaultStats, Transport,
+    ArcTransport, CodecTransport, DecodeCache, Delivery, FaultCause, FaultPlane, FaultStats,
+    Transport,
 };
 use crate::schedule::Schedule;
 use crate::sync::{ParkingBarrier, WindowedBarrier};
@@ -328,6 +329,8 @@ where
     // broadcast time; only packets from other shards flow through `rx`.
     let mut g = Digraph::empty(n);
     let mut rcvs: Vec<Received<A::Msg>> = (0..k).map(|_| Received::new(n)).collect();
+    // One decode per (round, sender) shared by every resident receiver.
+    let mut cache: DecodeCache<A::Msg> = DecodeCache::new();
     let mut r: Round = FIRST_ROUND;
 
     // 1. Send along the out-edges of G^r (round 1 here; later rounds
@@ -354,7 +357,7 @@ where
         let stashed = std::mem::take(&mut stash);
         for (pr, q, to, f) in stashed {
             if pr == r {
-                match transport.unpack(r, q, to, f) {
+                match transport.unpack(r, q, to, f, &mut cache) {
                     Delivery::Deliver(m) => rcvs[to.index() - range.start].insert(q, m),
                     Delivery::Dropped => faults.record(r, q, to, FaultCause::Dropped),
                     Delivery::Quarantined(e) => {
@@ -373,7 +376,7 @@ where
                     g.in_neighbors(to).contains(q),
                     "unexpected sender {q} for {to} in round {r}"
                 );
-                match transport.unpack(r, q, to, f) {
+                match transport.unpack(r, q, to, f, &mut cache) {
                     Delivery::Deliver(m) => rcvs[to.index() - range.start].insert(q, m),
                     Delivery::Dropped => faults.record(r, q, to, FaultCause::Dropped),
                     Delivery::Quarantined(e) => {
@@ -408,6 +411,7 @@ where
                 }
             }
         }
+        cache.clear();
 
         // 4. Close the round.
         let stop = match static_horizon {
@@ -558,8 +562,9 @@ where
                     // Intra-shard: a direct in-memory hand-off. The buffer
                     // is free to take round-(r) payloads — its round-(r − 1)
                     // contents were consumed and cleared before this
-                    // broadcast. Non-deferring transports never fault.
-                    match transport.unpack(r, p, v, frame.clone()) {
+                    // broadcast. Non-deferring transports never fault and
+                    // have nothing to decode, so they get an empty memo.
+                    match transport.unpack(r, p, v, frame.clone(), &mut DecodeCache::new()) {
                         Delivery::Deliver(m) => rcvs[v.index() - range.start].insert(p, m),
                         _ => unreachable!("non-deferring transport faulted a local hand-off"),
                     }

@@ -63,8 +63,8 @@ use crate::algorithm::{Received, RoundAlgorithm, Value};
 use crate::engine::sharded::ShardPlan;
 use crate::engine::RunUntil;
 use crate::fault::{
-    encode_packet, CodecTransport, Delivery, FaultCause, FaultPlane, FaultStats, FramedPacket,
-    NoFaults, PacketBuffer, Transport,
+    encode_packet, CodecTransport, DecodeCache, Delivery, FaultCause, FaultPlane, FaultStats,
+    FramedPacket, NoFaults, PacketBuffer, Transport,
 };
 use crate::schedule::Schedule;
 use crate::trace::{MsgStats, RunTrace};
@@ -895,6 +895,9 @@ where
     let mut stash: VecDeque<Packet> = VecDeque::new();
     let mut g = Digraph::empty(n);
     let mut rcvs: Vec<Received<A::Msg>> = (0..k).map(|_| Received::new(n)).collect();
+    // One decode per (round, sender) shared by every resident receiver,
+    // whether its frame came from the stash or over TCP.
+    let mut cache: DecodeCache<A::Msg> = DecodeCache::new();
     let mut r: Round = FIRST_ROUND;
 
     // 1. Send along the out-edges of G^r.
@@ -917,7 +920,7 @@ where
         let stashed = std::mem::take(&mut stash);
         for (pr, q, to, f) in stashed {
             if pr == r {
-                match transport.unpack(r, q, to, f) {
+                match transport.unpack(r, q, to, f, &mut cache) {
                     Delivery::Deliver(m) => rcvs[to.index() - range.start].insert(q, m),
                     Delivery::Dropped => faults.record(r, q, to, FaultCause::Dropped),
                     Delivery::Quarantined(e) => {
@@ -939,7 +942,7 @@ where
                             g.in_neighbors(to).contains(q),
                             "unexpected sender {q} for {to} in round {r}"
                         );
-                        match transport.unpack(r, q, to, f) {
+                        match transport.unpack(r, q, to, f, &mut cache) {
                             Delivery::Deliver(m) => rcvs[to.index() - range.start].insert(q, m),
                             Delivery::Dropped => faults.record(r, q, to, FaultCause::Dropped),
                             Delivery::Quarantined(e) => {
@@ -984,6 +987,7 @@ where
                 }
             }
         }
+        cache.clear();
 
         // 4. Close the round — same protocol as the sharded engine
         // (windowed skew bound under a fixed horizon, speculative

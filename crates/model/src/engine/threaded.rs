@@ -66,7 +66,8 @@ use sskel_graph::{Digraph, ProcessId, Round, FIRST_ROUND};
 use crate::algorithm::{Received, RoundAlgorithm, Value};
 use crate::engine::RunUntil;
 use crate::fault::{
-    ArcTransport, CodecTransport, Delivery, FaultCause, FaultPlane, FaultStats, Transport,
+    ArcTransport, CodecTransport, DecodeCache, Delivery, FaultCause, FaultPlane, FaultStats,
+    Transport,
 };
 use crate::schedule::Schedule;
 use crate::sync::ParkingBarrier;
@@ -226,6 +227,9 @@ where
     // Round-loop buffers, reused across rounds.
     let mut g = Digraph::empty(n);
     let mut rcv: Received<A::Msg> = Received::new(n);
+    // The thread's only receiver takes each sender's frame once per round,
+    // so the memo never hits here; it is cleared per round all the same.
+    let mut cache: DecodeCache<A::Msg> = DecodeCache::new();
     let mut r: Round = FIRST_ROUND;
 
     // 1. Send along the out-edges of G^r (round 1 here; later rounds
@@ -240,20 +244,18 @@ where
         let expected = g.in_neighbors(me);
         rcv.clear();
         let mut remaining = expected.len();
-        let deliver =
-            |q: ProcessId, f: T::Frame, rcv: &mut Received<A::Msg>, faults: &mut FaultStats| {
-                match transport.unpack(r, q, me, f) {
-                    Delivery::Deliver(m) => rcv.insert(q, m),
-                    Delivery::Dropped => faults.record(r, q, me, FaultCause::Dropped),
-                    Delivery::Quarantined(e) => faults.record(r, q, me, FaultCause::Quarantined(e)),
-                }
+        let mut deliver =
+            |q: ProcessId, f: T::Frame| match transport.unpack(r, q, me, f, &mut cache) {
+                Delivery::Deliver(m) => rcv.insert(q, m),
+                Delivery::Dropped => faults.record(r, q, me, FaultCause::Dropped),
+                Delivery::Quarantined(e) => faults.record(r, q, me, FaultCause::Quarantined(e)),
             };
         // First consume stashed packets that belong to this round.
         let stashed = std::mem::take(&mut stash);
         for (pr, q, f) in stashed {
             if pr == r {
                 debug_assert!(expected.contains(q), "unexpected sender {q} in round {r}");
-                deliver(q, f, &mut rcv, &mut faults);
+                deliver(q, f);
                 remaining -= 1;
             } else {
                 stash.push_back((pr, q, f));
@@ -263,7 +265,7 @@ where
             let (pr, q, f) = rx.recv().expect("message channel closed mid-round");
             if pr == r {
                 debug_assert!(expected.contains(q), "unexpected sender {q} in round {r}");
-                deliver(q, f, &mut rcv, &mut faults);
+                deliver(q, f);
                 remaining -= 1;
             } else {
                 debug_assert!(pr > r, "stale round-{pr} packet in round {r}");
@@ -280,6 +282,7 @@ where
         // buffer, trading an allocation for the barrier).
         alg.receive(r, &rcv);
         rcv.clear();
+        cache.clear();
         if let Some(v) = alg.decision() {
             match first_decision {
                 None => {

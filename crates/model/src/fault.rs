@@ -880,27 +880,56 @@ pub enum Delivery<M> {
     Quarantined(WireError),
 }
 
-/// A caller-owned one-entry memo for [`Transport::unpack_cached`]:
-/// the last successfully decoded untampered frame, keyed by
-/// `(round, sender, frame bytes)`.
+/// A caller-owned decode memo for [`Transport::unpack`]: one slot per
+/// sender, holding that sender's last successfully decoded untampered
+/// frame as `(round, frame bytes, decoded message)`.
 ///
-/// A broadcast ships the *same* sealed frame to every receiver, and the
-/// multiplex engine's batched packets (and its intra-shard stash) keep
-/// those repeats adjacent — so a receiving worker that remembers its
-/// last decode can recognize the repeat and share one decode across all
-/// same-shard receivers of the broadcast. The memo holds exactly one
-/// entry because the repeats are consecutive; the full byte comparison
-/// (not just the key) is the correctness guard, so colliding
-/// `(round, sender)` pairs from different multiplexed instances simply
-/// miss and re-decode.
+/// A broadcast ships the *same* sealed frame to every receiver, so a
+/// worker that keeps each sender's last decode shares one decode across
+/// all of its receivers of that broadcast, in any arrival order: the
+/// receiver-major loops of lockstep and journal replay interleave senders
+/// and still hit. The full byte comparison (not just the key) is the
+/// correctness guard, so colliding `(round, sender)` pairs from different
+/// multiplexed instances simply miss and re-decode.
+///
+/// Workers [`DecodeCache::clear`] the memo at the end of every round (tick,
+/// for multiplex), so decoded messages and the frame bytes they pin never
+/// outlive the round; the slot vector keeps its capacity.
 pub struct DecodeCache<M> {
-    entry: Option<(Round, ProcessId, Bytes, Arc<M>)>,
+    slots: Vec<Option<(Round, Bytes, Arc<M>)>>,
 }
 
 impl<M> DecodeCache<M> {
     /// An empty memo.
     pub fn new() -> Self {
-        DecodeCache { entry: None }
+        DecodeCache { slots: Vec::new() }
+    }
+
+    /// Forgets every entry, keeping the slot vector's capacity.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+    }
+
+    /// Records `m` as the decode of `frame`, sent by `from` in round `r`.
+    /// For callers that open a frame themselves (e.g. for sender-side
+    /// accounting) so that its receivers share that decode.
+    pub(crate) fn insert(&mut self, r: Round, from: ProcessId, frame: Bytes, m: Arc<M>) {
+        let i = from.index();
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, || None);
+        }
+        if let Some(slot) = self.slots.get_mut(i) {
+            *slot = Some((r, frame, m));
+        }
+    }
+
+    /// The memoized decode of `frame` from `from` in round `r`, if that
+    /// sender's slot holds exactly these bytes for that round.
+    fn get(&self, r: Round, from: ProcessId, frame: &[u8]) -> Option<&Arc<M>> {
+        match self.slots.get(from.index()) {
+            Some(Some((cr, cf, m))) if *cr == r && cf.as_slice() == frame => Some(m),
+            _ => None,
+        }
     }
 }
 
@@ -930,25 +959,19 @@ pub trait Transport<M>: Sync {
     fn pack(&self, m: &Arc<M>) -> Self::Frame;
 
     /// Unpacks the frame that arrived on `(from → to)` in round `r`,
-    /// applying the fault plane (if any) on the way.
-    fn unpack(&self, r: Round, from: ProcessId, to: ProcessId, f: Self::Frame) -> Delivery<M>;
-
-    /// [`Transport::unpack`] with a caller-owned [`DecodeCache`]: a
-    /// transport *may* share one decode across consecutive receivers of
-    /// the same `(round, sender, bytes)` frame. Implementations must be
-    /// observationally identical to `unpack` — the same [`Delivery`]
-    /// values on every edge, with the fault plane still evaluated
-    /// per `(round, from, to)`. The default ignores the memo.
-    fn unpack_cached(
+    /// applying the fault plane (if any) on the way. A transport *may*
+    /// share one decode across receivers of the same `(round, sender,
+    /// bytes)` frame through the caller-owned `cache`; the result must be
+    /// the same [`Delivery`] a fresh decode would give, with the fault
+    /// plane still evaluated per `(round, from, to)`.
+    fn unpack(
         &self,
         r: Round,
         from: ProcessId,
         to: ProcessId,
         f: Self::Frame,
-        _cache: &mut DecodeCache<M>,
-    ) -> Delivery<M> {
-        self.unpack(r, from, to, f)
-    }
+        cache: &mut DecodeCache<M>,
+    ) -> Delivery<M>;
 
     /// How many of the `receivers` of a round-`r` broadcast by `from`
     /// will actually receive it (the plane's survivors).
@@ -969,7 +992,15 @@ impl<M: Send + Sync + 'static> Transport<M> for ArcTransport {
         Arc::clone(m)
     }
 
-    fn unpack(&self, _r: Round, _from: ProcessId, _to: ProcessId, f: Arc<M>) -> Delivery<M> {
+    /// Nothing to decode: the memo is ignored.
+    fn unpack(
+        &self,
+        _r: Round,
+        _from: ProcessId,
+        _to: ProcessId,
+        f: Arc<M>,
+        _cache: &mut DecodeCache<M>,
+    ) -> Delivery<M> {
         Delivery::Deliver(f)
     }
 
@@ -1002,14 +1033,35 @@ impl<M: Wire + Send + Sync + 'static, P: FaultPlane> Transport<M> for CodecTrans
         seal(&**m)
     }
 
-    fn unpack(&self, r: Round, from: ProcessId, to: ProcessId, f: Bytes) -> Delivery<M> {
+    /// Decode sharing: an untampered edge whose bytes equal the sender's
+    /// memo slot for this round reuses the decoded [`Arc`] instead of
+    /// re-running `open`. Decoding is deterministic, so the shared value
+    /// is what a fresh decode would have produced. A tampered edge never
+    /// reads or writes the memo.
+    fn unpack(
+        &self,
+        r: Round,
+        from: ProcessId,
+        to: ProcessId,
+        f: Bytes,
+        cache: &mut DecodeCache<M>,
+    ) -> Delivery<M> {
         match self.plane.tamper(r, from, to) {
-            None => match open(&f) {
-                Ok(m) => Delivery::Deliver(Arc::new(m)),
-                // Unreachable for frames we sealed ourselves, but the
-                // receiver survives a misbehaving sender all the same.
-                Err(e) => Delivery::Quarantined(e),
-            },
+            None => {
+                if let Some(m) = cache.get(r, from, &f) {
+                    return Delivery::Deliver(Arc::clone(m));
+                }
+                match open(&f) {
+                    Ok(m) => {
+                        let m = Arc::new(m);
+                        cache.insert(r, from, f, Arc::clone(&m));
+                        Delivery::Deliver(m)
+                    }
+                    // Unreachable for frames we sealed ourselves, but the
+                    // receiver survives a misbehaving sender all the same.
+                    Err(e) => Delivery::Quarantined(e),
+                }
+            }
             Some(Tamper::Drop) => Delivery::Dropped,
             Some(t) => {
                 let mut buf = f.to_vec();
@@ -1022,37 +1074,6 @@ impl<M: Wire + Send + Sync + 'static, P: FaultPlane> Transport<M> for CodecTrans
                     Err(e) => Delivery::Quarantined(e),
                 }
             }
-        }
-    }
-
-    /// Decode sharing: an untampered edge whose bytes equal the memo's
-    /// entry reuses the decoded [`Arc`] instead of re-running
-    /// `open`. Decoding is deterministic, so the shared value is what a
-    /// fresh decode would have produced; a tampered edge takes the full
-    /// [`Transport::unpack`] path and never touches the memo.
-    fn unpack_cached(
-        &self,
-        r: Round,
-        from: ProcessId,
-        to: ProcessId,
-        f: Bytes,
-        cache: &mut DecodeCache<M>,
-    ) -> Delivery<M> {
-        if self.plane.tamper(r, from, to).is_some() {
-            return self.unpack(r, from, to, f);
-        }
-        if let Some((cr, cfrom, cf, m)) = &cache.entry {
-            if *cr == r && *cfrom == from && cf.as_slice() == f.as_slice() {
-                return Delivery::Deliver(Arc::clone(m));
-            }
-        }
-        match open(&f) {
-            Ok(m) => {
-                let m = Arc::new(m);
-                cache.entry = Some((r, from, f, Arc::clone(&m)));
-                Delivery::Deliver(m)
-            }
-            Err(e) => Delivery::Quarantined(e),
         }
     }
 
@@ -1095,59 +1116,134 @@ mod tests {
         );
     }
 
-    #[test]
-    fn unpack_cached_shares_decodes_but_faults_per_edge() {
-        // Drops every frame addressed to process 1, leaves the rest alone.
-        struct DropTo1;
-        impl FaultPlane for DropTo1 {
-            fn tamper(&self, _r: Round, _from: ProcessId, to: ProcessId) -> Option<Tamper> {
-                (to == ProcessId::from_usize(1)).then_some(Tamper::Drop)
-            }
+    /// Drops every frame addressed to process 1, leaves the rest alone.
+    struct DropTo1;
+    impl FaultPlane for DropTo1 {
+        fn tamper(&self, _r: Round, _from: ProcessId, to: ProcessId) -> Option<Tamper> {
+            (to == ProcessId::from_usize(1)).then_some(Tamper::Drop)
         }
+    }
+
+    fn delivered<M>(d: Delivery<M>) -> Arc<M> {
+        match d {
+            Delivery::Deliver(m) => m,
+            Delivery::Dropped => panic!("untampered frame was dropped"),
+            Delivery::Quarantined(e) => panic!("untampered frame was quarantined: {e}"),
+        }
+    }
+
+    #[test]
+    fn unpack_shares_decodes_but_faults_per_edge() {
         let t: CodecTransport<DropTo1> = CodecTransport::new(DropTo1);
         let mut cache: DecodeCache<u64> = DecodeCache::new();
         let frame = seal(&7u64);
 
-        // First untampered edge decodes and populates the memo; the next
-        // receiver of the same (round, sender, bytes) shares that decode
-        // (same Arc, not merely an equal value).
-        let a = match t.unpack_cached(1, p(0), p(0), frame.clone(), &mut cache) {
-            Delivery::Deliver(m) => m,
-            _ => panic!("untampered frame must deliver"),
-        };
-        let b = match t.unpack_cached(1, p(0), p(2), frame.clone(), &mut cache) {
-            Delivery::Deliver(m) => m,
-            _ => panic!("untampered repeat must deliver"),
-        };
+        // First untampered edge decodes and fills the sender's slot; the
+        // next receiver of the same (round, sender, bytes) shares that
+        // decode (same Arc, not merely an equal value).
+        let a = delivered(t.unpack(1, p(0), p(0), frame.clone(), &mut cache));
+        let b = delivered(t.unpack(1, p(0), p(2), frame.clone(), &mut cache));
         assert!(Arc::ptr_eq(&a, &b), "repeat did not share the decode");
 
         // The plane is still consulted per edge: a tampered edge between
         // two cache hits takes the full unpack path.
         assert!(matches!(
-            t.unpack_cached(1, p(0), p(1), frame.clone(), &mut cache),
+            t.unpack(1, p(0), p(1), frame.clone(), &mut cache),
             Delivery::Dropped
         ));
-
-        // Equal key, different bytes (another multiplexed instance at the
-        // same local round): the byte comparison forces a fresh decode.
-        let other = seal(&8u64);
-        match t.unpack_cached(1, p(0), p(2), other, &mut cache) {
-            Delivery::Deliver(m) => assert_eq!(*m, 8),
-            _ => panic!("differing bytes must decode freshly"),
-        }
 
         // Garbage after a hit neither panics nor poisons the memo.
         let mut bad = frame.to_vec();
         let last = bad.len() - 1;
         bad[last] ^= 0xff;
         assert!(matches!(
-            t.unpack_cached(1, p(0), p(2), Bytes::from(bad), &mut cache),
+            t.unpack(1, p(0), p(2), Bytes::from(bad), &mut cache),
             Delivery::Quarantined(WireError::InvalidValue("frame checksum mismatch"))
         ));
-        match t.unpack_cached(2, p(0), p(2), frame, &mut cache) {
-            Delivery::Deliver(m) => assert_eq!(*m, 7),
-            _ => panic!("fresh round must decode"),
+        let c = delivered(t.unpack(1, p(0), p(3), frame, &mut cache));
+        assert!(Arc::ptr_eq(&a, &c), "a quarantined frame evicted the slot");
+    }
+
+    #[test]
+    fn unpack_hits_under_receiver_major_order() {
+        // Receiver-major delivery, as the lockstep loop does it: every
+        // receiver takes one frame from each sender, so consecutive
+        // unpacks always come from different senders.
+        let t = CodecTransport::new(NoFaults);
+        let mut cache: DecodeCache<u64> = DecodeCache::new();
+        let frames: Vec<Bytes> = (0..3u64).map(|v| seal(&(100 + v))).collect();
+        let first: Vec<Arc<u64>> = (0..3)
+            .map(|q| delivered(t.unpack(4, p(q), p(0), frames[q].clone(), &mut cache)))
+            .collect();
+        for to in 1..3 {
+            for (q, f) in frames.iter().enumerate() {
+                let m = delivered(t.unpack(4, p(q), p(to), f.clone(), &mut cache));
+                assert!(Arc::ptr_eq(&m, &first[q]), "sender {q} re-decoded for {to}");
+            }
         }
+    }
+
+    #[test]
+    fn unpack_misses_on_other_bytes_and_other_rounds() {
+        let t = CodecTransport::new(NoFaults);
+        let mut cache: DecodeCache<u64> = DecodeCache::new();
+        let frame = seal(&7u64);
+        let a = delivered(t.unpack(1, p(0), p(1), frame.clone(), &mut cache));
+
+        // Same (round, sender), different bytes: another multiplexed
+        // instance at the same local round. The byte comparison forces a
+        // fresh decode.
+        let other = delivered(t.unpack(1, p(0), p(2), seal(&8u64), &mut cache));
+        assert_eq!(*other, 8);
+
+        // Same bytes, next round: the round key forces a fresh decode.
+        let b = delivered(t.unpack(1, p(0), p(1), frame.clone(), &mut cache));
+        let c = delivered(t.unpack(2, p(0), p(1), frame.clone(), &mut cache));
+        assert_eq!((*b, *c), (7, 7));
+        assert!(!Arc::ptr_eq(&a, &b), "slot kept the overwritten decode");
+        assert!(!Arc::ptr_eq(&b, &c), "a decode leaked into the next round");
+
+        // A cleared memo misses too.
+        cache.clear();
+        let d = delivered(t.unpack(2, p(0), p(1), frame, &mut cache));
+        assert!(!Arc::ptr_eq(&c, &d), "clear kept an entry");
+    }
+
+    #[test]
+    fn tampered_edge_neither_reads_nor_writes_the_slot() {
+        // Flips a payload bit on every frame addressed to process 1.
+        struct FlipTo1;
+        impl FaultPlane for FlipTo1 {
+            fn tamper(&self, _r: Round, _from: ProcessId, to: ProcessId) -> Option<Tamper> {
+                (to == ProcessId::from_usize(1)).then_some(Tamper::BitFlip { bit: 0 })
+            }
+        }
+        let t = CodecTransport::new(FlipTo1);
+        let mut cache: DecodeCache<u64> = DecodeCache::new();
+        let frame = seal(&7u64);
+
+        // Read: the slot holds this very frame's decode, yet the tampered
+        // edge decodes its own mangled bytes and is quarantined.
+        let a = delivered(t.unpack(1, p(0), p(0), frame.clone(), &mut cache));
+        assert!(matches!(
+            t.unpack(1, p(0), p(1), frame.clone(), &mut cache),
+            Delivery::Quarantined(_)
+        ));
+        // Write: the tampered edge left the slot as it was.
+        let b = delivered(t.unpack(1, p(0), p(2), frame.clone(), &mut cache));
+        assert!(Arc::ptr_eq(&a, &b), "tampered edge disturbed the slot");
+
+        // A tampered edge first in its round leaves the slot empty for
+        // the untampered receivers, which then decode once and share it.
+        assert!(matches!(
+            t.unpack(2, p(0), p(1), frame.clone(), &mut cache),
+            Delivery::Quarantined(_)
+        ));
+        let c = delivered(t.unpack(2, p(0), p(2), frame.clone(), &mut cache));
+        let d = delivered(t.unpack(2, p(0), p(3), frame, &mut cache));
+        assert_eq!(*c, 7);
+        assert!(!Arc::ptr_eq(&b, &c), "a decode leaked into the next round");
+        assert!(Arc::ptr_eq(&c, &d), "untampered repeat did not hit");
     }
 
     #[test]
