@@ -1,6 +1,5 @@
-//! Lockstep vs threaded vs sharded engine, and the spin barrier vs
-//! `std::sync::Barrier` — ablation for DESIGN.md §5.4 and
-//! docs/CONCURRENCY.md.
+//! Lockstep vs sharded engine, and the parking barrier vs
+//! `std::sync::Barrier` — ablation for docs/CONCURRENCY.md.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
@@ -12,8 +11,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use sskel_bench::{inputs, ring_with_chords};
 use sskel_kset::KSetAgreement;
-use sskel_model::sync::{ParkingBarrier, SpinBarrier, WindowedBarrier};
-use sskel_model::{run_lockstep, run_sharded, run_threaded, FixedSchedule, RunUntil, ShardPlan};
+use sskel_model::sync::ParkingBarrier;
+use sskel_model::{run_lockstep, run_sharded, FixedSchedule, RunUntil, ShardPlan};
 
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("engines");
@@ -29,13 +28,6 @@ fn bench_engines(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("lockstep", n), &n, |b, _| {
             b.iter(|| {
                 run_lockstep(&s, KSetAgreement::spawn_all(n, &ins), until)
-                    .0
-                    .rounds_executed
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("threaded", n), &n, |b, _| {
-            b.iter(|| {
-                run_threaded(&s, KSetAgreement::spawn_all(n, &ins), until)
                     .0
                     .rounds_executed
             })
@@ -57,9 +49,8 @@ fn bench_engines(c: &mut Criterion) {
 }
 
 /// Fixed-horizon runs at large n over a sparse skeleton: the regime the
-/// sharded engine exists for. One thread per process (`threaded`) pays a
-/// context switch per process per round; `sharded` pays at most one park
-/// per shard per window.
+/// sharded engine exists for: each shard pays at most one park per
+/// window, instead of a context switch per process per round.
 fn bench_engines_large_n(c: &mut Criterion) {
     let mut group = c.benchmark_group("engines_large_n");
     group.warm_up_time(Duration::from_millis(300));
@@ -69,13 +60,6 @@ fn bench_engines_large_n(c: &mut Criterion) {
     let s = FixedSchedule::new(ring_with_chords(n, 8));
     let ins = inputs(n);
     let until = RunUntil::Rounds(6);
-    group.bench_function(BenchmarkId::new("threaded", n), |b| {
-        b.iter(|| {
-            run_threaded(&s, KSetAgreement::spawn_all(n, &ins), until)
-                .0
-                .rounds_executed
-        })
-    });
     for &shards in &[1usize, 4] {
         group.bench_function(BenchmarkId::new(format!("sharded{shards}_w4"), n), |b| {
             b.iter(|| {
@@ -101,25 +85,6 @@ fn bench_barriers(c: &mut Criterion) {
     group.sample_size(10);
     for &threads in &[2usize, 4, 8] {
         group.bench_with_input(
-            BenchmarkId::new("spin", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let barrier = Arc::new(SpinBarrier::new(threads));
-                    std::thread::scope(|scope| {
-                        for _ in 0..threads {
-                            let bar = Arc::clone(&barrier);
-                            scope.spawn(move || {
-                                for _ in 0..ROUNDS {
-                                    bar.wait();
-                                }
-                            });
-                        }
-                    });
-                })
-            },
-        );
-        group.bench_with_input(
             BenchmarkId::new("park", threads),
             &threads,
             |b, &threads| {
@@ -130,7 +95,7 @@ fn bench_barriers(c: &mut Criterion) {
                             let bar = Arc::clone(&barrier);
                             scope.spawn(move || {
                                 for _ in 0..ROUNDS {
-                                    bar.wait();
+                                    bar.wait().expect("not aborted");
                                 }
                             });
                         }
@@ -143,13 +108,15 @@ fn bench_barriers(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    let barrier = Arc::new(WindowedBarrier::new(threads, 8));
+                    let barrier = Arc::new(ParkingBarrier::new(threads));
                     std::thread::scope(|scope| {
                         for _ in 0..threads {
                             let bar = Arc::clone(&barrier);
                             scope.spawn(move || {
-                                for r in 1..=ROUNDS as u32 {
-                                    bar.round_end(r);
+                                for r in 1..=ROUNDS {
+                                    if r.is_multiple_of(8) {
+                                        bar.wait().expect("not aborted");
+                                    }
                                 }
                             });
                         }

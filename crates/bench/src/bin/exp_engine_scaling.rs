@@ -1,6 +1,7 @@
-//! **E7** — engine equivalence and scaling: the threaded engine (one OS
-//! thread per process, channels, parking barrier) produces identical traces to
-//! the lockstep engine; wall-clock comparison shows where real threading
+//! **E7** — engine equivalence and scaling: the sharded engine with one
+//! shard (a single worker thread) and with `n` shards (one OS thread per
+//! process, channels, parking barrier) produces identical traces to the
+//! lockstep engine; the wall-clock comparison shows where real threading
 //! pays off (it doesn't at simulation scale — the point is fidelity, not
 //! speed, exactly the "doable with channels" reproduction hint).
 
@@ -8,15 +9,15 @@ use std::time::Instant;
 
 use sskel_bench::{inputs, std_schedule, SEED};
 use sskel_kset::{lemma11_bound, KSetAgreement};
-use sskel_model::{run_lockstep, run_threaded, RunUntil};
+use sskel_model::{run_lockstep, run_sharded, RunUntil, ShardPlan};
 
 fn main() {
-    println!("E7: lockstep vs threaded engine (identical traces asserted)\n");
+    println!("E7: lockstep vs sharded engine at 1 and n shards (identical traces asserted)\n");
     println!(
-        "{:>4} | {:>12} {:>12} {:>8} | {:>10}",
-        "n", "lockstep", "threaded", "ratio", "rounds"
+        "{:>4} | {:>12} {:>12} {:>12} {:>8} | {:>10}",
+        "n", "lockstep", "1 shard", "n shards", "ratio", "rounds"
     );
-    println!("{}", "-".repeat(56));
+    println!("{}", "-".repeat(70));
     for n in [2usize, 4, 8, 16, 32] {
         let s = std_schedule(SEED ^ n as u64, n, 2.min(n));
         let ins = inputs(n);
@@ -28,24 +29,36 @@ fn main() {
         let (a, _) = run_lockstep(&s, KSetAgreement::spawn_all(n, &ins), until);
         let lock = t0.elapsed();
 
-        let t0 = Instant::now();
-        let (b, _) = run_threaded(&s, KSetAgreement::spawn_all(n, &ins), until);
-        let thr = t0.elapsed();
-
-        assert_eq!(a.decisions, b.decisions, "trace divergence at n={n}");
-        assert_eq!(a.msg_stats, b.msg_stats);
+        let mut times = Vec::with_capacity(2);
+        for shards in [1, n] {
+            let t0 = Instant::now();
+            let (b, _) = run_sharded(
+                &s,
+                KSetAgreement::spawn_all(n, &ins),
+                until,
+                ShardPlan::new(shards),
+            );
+            times.push(t0.elapsed());
+            assert_eq!(
+                a.decisions, b.decisions,
+                "trace divergence at n={n} shards={shards}"
+            );
+            assert_eq!(a.msg_stats, b.msg_stats);
+            assert_eq!(a.rounds_executed, b.rounds_executed);
+        }
         println!(
-            "{:>4} | {:>12?} {:>12?} {:>7.1}x | {:>10}",
+            "{:>4} | {:>12?} {:>12?} {:>12?} {:>7.1}x | {:>10}",
             n,
             lock,
-            thr,
-            thr.as_secs_f64() / lock.as_secs_f64().max(1e-9),
+            times[0],
+            times[1],
+            times[1].as_secs_f64() / lock.as_secs_f64().max(1e-9),
             a.rounds_executed
         );
     }
     println!(
-        "\ntraces identical on every row ✓ (threading overhead dominates at\n\
-         simulation scale — the threaded engine is a fidelity check, not an\n\
-         optimization)"
+        "\ntraces identical on every row ✓ (ratio = n shards / lockstep;\n\
+         threading overhead dominates at simulation scale — one thread per\n\
+         process is a fidelity check, not an optimization)"
     );
 }

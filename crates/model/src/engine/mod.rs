@@ -1,22 +1,21 @@
 //! Simulation engines.
 //!
-//! Four engines drive [`crate::algorithm::RoundAlgorithm`] instances
+//! Three engines drive [`crate::algorithm::RoundAlgorithm`] instances
 //! through the round structure of a [`crate::schedule::Schedule`]:
 //!
 //! * [`lockstep`] — deterministic, single-threaded, supports per-round
 //!   observers (used for Figure 1 and the lemma-invariant tests);
-//! * [`threaded`] — one OS thread per process, real message channels
-//!   (std mpsc) and at most one parking barrier per round; asserted to
-//!   produce traces identical to lockstep;
-//! * [`sharded`] — `k` processes per thread ([`ShardPlan`]), one inbox per
-//!   shard, direct in-memory delivery inside a shard, and a bounded-skew
-//!   [`crate::sync::WindowedBarrier`] under a fixed horizon; also
-//!   trace-identical to lockstep;
-//! * [`socket`] — the sharded partition with every inter-shard frame
-//!   carried over a real loopback [`std::net::TcpStream`] ([`SocketPlan`]),
-//!   stream framing with partial-read resumption, per-connection read
-//!   timeouts and typed [`SocketError`]s; trace-identical to
-//!   [`run_lockstep_codec`] over the same schedule, seed and fault plane.
+//! * [`sharded`] — `k` processes per thread ([`ShardPlan`]; one per
+//!   process at `ShardPlan::new(n)`), one mpsc inbox per shard, direct
+//!   in-memory delivery inside a shard, at most one
+//!   [`crate::sync::ParkingBarrier`] phase per round, and only one per
+//!   window under a fixed horizon; trace-identical to lockstep;
+//! * [`socket`] — the sharded engine's own shard worker with every
+//!   inter-shard frame carried over a real loopback
+//!   [`std::net::TcpStream`] ([`SocketPlan`]), stream framing with
+//!   partial-read resumption, per-connection read timeouts and typed
+//!   [`SocketError`]s; trace-identical to [`run_lockstep_codec`] over the
+//!   same schedule, seed and fault plane.
 //!
 //! [`multiplex`] layers *agreement as a service* on top of the sharded
 //! partition: `M` concurrent instances on one worker pool
@@ -41,7 +40,6 @@ pub mod multiplex;
 pub mod recovery;
 pub mod sharded;
 pub mod socket;
-pub mod threaded;
 
 pub use lockstep::{run_lockstep, run_lockstep_codec, run_lockstep_observed};
 pub use multiplex::{run_multiplex_codec, MultiplexPlan, MuxInstance};
@@ -50,7 +48,6 @@ pub use sharded::{run_sharded, run_sharded_codec, ShardPlan};
 pub use socket::{
     run_socket, run_socket_codec, PacketEvent, PacketStream, SocketError, SocketPlan,
 };
-pub use threaded::{run_threaded, run_threaded_codec};
 
 use sskel_graph::Round;
 
@@ -79,8 +76,8 @@ impl RunUntil {
     }
 
     /// The round the run stops at when the stop condition depends on
-    /// nothing but the round number — in that case the threaded engine
-    /// needs no per-round global coordination at all.
+    /// nothing but the round number — in that case the shard worker needs
+    /// no per-round verdict, only a barrier per window.
     #[inline]
     pub(crate) fn static_horizon(self) -> Option<Round> {
         match self {

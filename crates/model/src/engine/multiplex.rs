@@ -539,7 +539,9 @@ where
         // states: this tick's writes are published by the barrier, and no
         // shard can write tick-(t+1) flags before receiving every peer's
         // tick-(t+1) batch — which is only sent after this verdict phase.
-        barrier.wait();
+        barrier
+            .wait()
+            .expect("nothing aborts the multiplex tick barrier");
         active.retain(|&i| {
             let meta = &metas[i];
             let r = tick - meta.admit_at + 1;

@@ -1,38 +1,40 @@
-//! Sharded round engine: `k` processes per OS thread, one inbox per shard.
+//! The shard worker: `k` processes per OS thread, one inbox per shard.
 //!
-//! The one-thread-per-process design of [`super::threaded`] measures real
-//! message passing faithfully, but it pays for realism with OS threads: at
-//! `n = 256` on a small machine, every simulated round is hundreds of
-//! context switches. Algorithm 1 is a *full-information, anonymous-code*
-//! protocol — every process runs the same per-round estimator — so nothing
-//! about the model requires the `n` processes to be `n` schedulable
-//! entities. This engine assigns each worker thread a **contiguous shard**
-//! of processes and drives all of them through the round structure
-//! sequentially inside the thread, recovering lockstep-like efficiency
-//! per shard while keeping real inter-thread message passing between
-//! shards:
+//! Every multi-threaded engine except [`super::multiplex`] runs this one
+//! round loop. Algorithm 1 is a *full-information, anonymous-code*
+//! protocol — every process runs the same per-round estimator — so
+//! nothing about the model requires the `n` processes to be `n`
+//! schedulable entities. The engine assigns each worker thread a
+//! **contiguous shard** of processes and drives all of them through the
+//! round structure sequentially inside the thread, recovering
+//! lockstep-like efficiency per shard while keeping real inter-thread
+//! message passing between shards. One process per thread is simply
+//! `ShardPlan::new(n)`.
 //!
 //! * **one inbox per shard, not per process** — inter-shard messages travel
-//!   through a single MPSC channel per shard, tagged
-//!   `(round, from, to, payload)`; a wakeup drains whole rounds for all `k`
-//!   resident processes at once;
-//! * **intra-shard delivery never touches a channel** — a message between
-//!   two processes of the same shard is an `Arc` clone written directly
-//!   into the recipient's delivery buffer by the owning thread;
-//! * **round closing** mirrors the threaded engine, per shard instead of
-//!   per process:
+//!   through the shard's `Link`, tagged `(round, from, to, payload)`; a
+//!   wakeup drains whole rounds for all `k` resident processes at once.
+//!   [`run_sharded`] links shards with in-process mpsc channels, and
+//!   [`super::run_socket`] with loopback TCP streams;
+//! * **intra-shard delivery never touches a link** — with the `Arc`
+//!   transport, a message between two processes of the same shard is an
+//!   `Arc` clone written directly into the recipient's delivery buffer by
+//!   the owning thread; the codec transport parks it in the shard's stash
+//!   so the fault plane touches it at round time like any link frame;
+//! * **round closing** uses one [`ParkingBarrier`]:
 //!   * under [`RunUntil::AllDecided`] every shard broadcasts its round
 //!     `r + 1` messages *speculatively before arriving* at a single
-//!     [`ParkingBarrier`] phase whose leader evaluates the stop condition
+//!     barrier phase whose leader evaluates the stop condition
 //!     ([`ParkingBarrier::wait_eval`]); the speculative broadcast is rolled
 //!     back from the byte accounting when the verdict stops the run;
 //!   * under a **fixed horizon** ([`RunUntil::Rounds`]) there is no global
-//!     stop condition to agree on, and a [`WindowedBarrier`] closes only
-//!     every `K`-th round: threads free-run inside a window, and the
-//!     boundary bounds inter-shard round skew to `K − 1` — and with it the
-//!     per-edge channel backlog to `K` payloads, closing the
-//!     unbounded-backlog caveat of the threaded engine's barrier-free mode
-//!     (see `docs/CONCURRENCY.md` for the argument).
+//!     stop condition to agree on, and the barrier closes only every
+//!     `K`-th round: threads free-run inside a window, and the boundary
+//!     bounds inter-shard round skew to `K − 1` — and with it the
+//!     per-edge channel backlog to `K` payloads (see `docs/CONCURRENCY.md`
+//!     for the argument);
+//!   * a link failure aborts the barrier ([`ParkingBarrier::abort`]), so
+//!     every peer is released with an error instead of parking forever.
 //!
 //! Like the other engines, the trace and the final algorithm states are
 //! **bit-identical** to [`super::lockstep`] for the same schedule and
@@ -42,6 +44,7 @@
 //! nondeterminism.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
 use std::sync::Arc;
@@ -55,7 +58,7 @@ use crate::fault::{
     Transport,
 };
 use crate::schedule::Schedule;
-use crate::sync::{ParkingBarrier, WindowedBarrier};
+use crate::sync::{Aborted, ParkingBarrier};
 use crate::trace::{MsgStats, RunTrace};
 use crate::wire::{Wire, WireSized};
 
@@ -113,7 +116,7 @@ impl ShardPlan {
     /// `n`: `shards` ranges (after clamping to `n`) whose lengths differ by
     /// at most one. Shared with the socket engine, which partitions the
     /// universe identically.
-    pub(crate) fn ranges(&self, n: usize) -> Vec<std::ops::Range<usize>> {
+    pub(crate) fn ranges(&self, n: usize) -> Vec<Range<usize>> {
         let shards = self.shards.min(n).max(1);
         let base = n / shards;
         let extra = n % shards;
@@ -131,7 +134,45 @@ impl ShardPlan {
 /// An inter-shard packet: `(round, sender, recipient, frame)`. The frame
 /// stays packed (an `Arc` in classic mode, encoded bytes in codec mode)
 /// until the recipient's round is processed.
-type Packet<F> = (Round, ProcessId, ProcessId, F);
+pub(crate) type Packet<F> = (Round, ProcessId, ProcessId, F);
+
+/// The inter-shard half of one shard worker's message path: how its
+/// packets reach other shards and how theirs reach it. Intra-shard
+/// deliveries never touch the link.
+pub(crate) trait Link<F> {
+    /// Why the link failed. A worker released from an aborted barrier
+    /// reports `Self::Error::from(Aborted)`.
+    type Error: From<Aborted> + Send;
+
+    /// Ships `packet` to shard `to`.
+    fn send(&mut self, to: usize, packet: Packet<F>) -> Result<(), Self::Error>;
+
+    /// Blocks for the next packet addressed to this shard while it
+    /// assembles round `r` (packets of later rounds may arrive first).
+    fn recv(&mut self, r: Round) -> Result<Packet<F>, Self::Error>;
+}
+
+/// The in-process link: one unbounded mpsc inbox per shard. Sends never
+/// fail while the run lives — the senders outlive every worker.
+struct ChannelLink<'a, F> {
+    rx: Receiver<Packet<F>>,
+    txs: &'a [Sender<Packet<F>>],
+}
+
+impl<F> Link<F> for ChannelLink<'_, F> {
+    type Error = Aborted;
+
+    fn send(&mut self, to: usize, packet: Packet<F>) -> Result<(), Aborted> {
+        self.txs[to]
+            .send(packet)
+            .expect("recipient shard channel closed");
+        Ok(())
+    }
+
+    fn recv(&mut self, _r: Round) -> Result<Packet<F>, Aborted> {
+        Ok(self.rx.recv().expect("message channel closed mid-round"))
+    }
+}
 
 /// What one shard thread hands back when the run stops.
 struct ShardOutcome<A> {
@@ -146,9 +187,9 @@ struct ShardOutcome<A> {
 /// Runs `algs` against `schedule` on `plan.shards` worker threads, each
 /// owning a contiguous shard of processes.
 ///
-/// Semantically identical to [`super::run_lockstep`] and
-/// [`super::run_threaded`]; see the module docs for the synchronization
-/// protocol and `docs/CONCURRENCY.md` for how the three engines relate.
+/// Semantically identical to [`super::run_lockstep`]; see the module docs
+/// for the synchronization protocol and `docs/CONCURRENCY.md` for how the
+/// engines relate.
 ///
 /// # Panics
 /// Panics if `algs.len() != schedule.n()` or a worker thread panics.
@@ -163,7 +204,7 @@ where
     A: RoundAlgorithm,
     A::Msg: WireSized,
 {
-    run_transport(schedule, algs, until, plan, &ArcTransport)
+    run_channels(schedule, algs, until, plan, &ArcTransport)
 }
 
 /// [`run_sharded`] in codec-boundary mode: every payload — including
@@ -189,12 +230,11 @@ where
     A::Msg: Wire,
     P: FaultPlane,
 {
-    run_transport(schedule, algs, until, plan, &CodecTransport::new(plane))
+    run_channels(schedule, algs, until, plan, &CodecTransport::new(plane))
 }
 
-/// The engine body, generic over the payload path (see
-/// [`crate::fault::Transport`]).
-fn run_transport<S, A, T>(
+/// The in-process engine body: one [`ChannelLink`] per shard.
+fn run_channels<S, A, T>(
     schedule: &S,
     algs: Vec<A>,
     until: RunUntil,
@@ -207,75 +247,116 @@ where
     A::Msg: WireSized,
     T: Transport<A::Msg>,
 {
+    let ranges = plan.ranges(schedule.n());
+    let (txs, rxs): (Vec<_>, Vec<_>) = ranges.iter().map(|_| unbounded()).unzip();
+    // The senders live here, past every worker: a shard that exits first
+    // leaves its queued packets deliverable to slower peers.
+    let links = rxs
+        .into_iter()
+        .map(|rx| ChannelLink { rx, txs: &txs })
+        .collect();
+    run_shards(
+        schedule,
+        algs,
+        until,
+        &ranges,
+        plan.window,
+        transport,
+        links,
+    )
+    .expect("nothing aborts an in-process run's barrier")
+}
+
+/// Runs one shard worker thread per range in `ranges` (the `s`-th over
+/// `links[s]`) and merges their outcomes into one trace.
+///
+/// If a link fails, the error of the lowest-indexed shard whose own link
+/// failed is returned — not the [`Aborted`] echo of the peers it released.
+///
+/// # Panics
+/// Panics if `algs.len() != schedule.n()`, `links.len() != ranges.len()`
+/// or a worker thread panics.
+pub(crate) fn run_shards<S, A, T, L>(
+    schedule: &S,
+    algs: Vec<A>,
+    until: RunUntil,
+    ranges: &[Range<usize>],
+    window: Round,
+    transport: &T,
+    links: Vec<L>,
+) -> Result<(RunTrace, Vec<A>), L::Error>
+where
+    S: Schedule + Sync + ?Sized,
+    A: RoundAlgorithm,
+    A::Msg: WireSized,
+    T: Transport<A::Msg>,
+    L: Link<T::Frame> + Send,
+{
     let n = schedule.n();
     assert_eq!(
         algs.len(),
         n,
         "need exactly one algorithm instance per process"
     );
-
-    let ranges = plan.ranges(n);
-    let shards = ranges.len();
-    let mut trace = RunTrace::new(n);
+    assert_eq!(links.len(), ranges.len(), "need exactly one link per shard");
 
     // Which shard owns each process — senders index this to route packets.
     let mut shard_of = vec![0usize; n];
     for (s, range) in ranges.iter().enumerate() {
-        for p in range.clone() {
-            shard_of[p] = s;
-        }
+        shard_of[range.clone()].fill(s);
     }
-
-    let barrier = ParkingBarrier::new(shards);
-    let windowed = WindowedBarrier::new(shards, plan.window);
+    let barrier = ParkingBarrier::new(ranges.len());
     let decided: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-
-    let mut txs: Vec<Sender<Packet<T::Frame>>> = Vec::with_capacity(shards);
-    let mut rxs: Vec<Option<Receiver<Packet<T::Frame>>>> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = unbounded();
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
 
     // Hand each thread its contiguous slice of algorithm instances.
     let mut algs = algs;
-    let mut shard_algs: Vec<Vec<A>> = Vec::with_capacity(shards);
-    for range in ranges.iter().rev() {
-        shard_algs.push(algs.split_off(range.start));
-    }
+    let mut shard_algs: Vec<Vec<A>> = ranges
+        .iter()
+        .rev()
+        .map(|range| algs.split_off(range.start))
+        .collect();
     shard_algs.reverse();
 
-    let mut outcomes: Vec<Option<ShardOutcome<A>>> = (0..shards).map(|_| None).collect();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(shards);
-        for (s, (owned, rx)) in shard_algs.into_iter().zip(rxs.iter_mut()).enumerate() {
-            let rx = rx.take().expect("receiver taken twice");
-            let range = ranges[s].clone();
-            let txs = &txs;
-            let shard_of = &shard_of;
-            let barrier = &barrier;
-            let windowed = &windowed;
-            let decided = &decided;
-            handles.push(scope.spawn(move || {
-                run_shard(
-                    schedule, range, owned, rx, txs, shard_of, barrier, windowed, decided, until,
+    let outcomes = std::thread::scope(|scope| {
+        let handles: Vec<_> = shard_algs
+            .into_iter()
+            .zip(links)
+            .zip(ranges)
+            .map(|((owned, link), range)| {
+                let worker = Worker {
+                    schedule,
+                    range: range.clone(),
+                    shard_of: &shard_of,
+                    barrier: &barrier,
+                    window,
+                    decided: &decided,
+                    until,
                     transport,
-                )
-            }));
-        }
-        for (s, h) in handles.into_iter().enumerate() {
-            outcomes[s] = Some(h.join().expect("shard thread panicked"));
-        }
+                };
+                scope.spawn(move || worker.run(owned, link))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard thread panicked"))
+            .collect::<Vec<_>>()
     });
 
+    let mut trace = RunTrace::new(n);
     let mut algs_back = Vec::with_capacity(n);
-    for (s, outcome) in outcomes.into_iter().enumerate() {
-        let o = outcome.expect("missing shard outcome");
+    let mut released = false;
+    for (outcome, range) in outcomes.into_iter().zip(ranges) {
+        let o = match outcome {
+            Ok(o) => o,
+            Err(Some(e)) => return Err(e),
+            Err(None) => {
+                released = true;
+                continue;
+            }
+        };
         for (i, first) in o.first_decisions.iter().enumerate() {
             if let Some((round, value)) = first {
-                trace.record_decision(ProcessId::from_usize(ranges[s].start + i), *round, *value);
+                trace.record_decision(ProcessId::from_usize(range.start + i), *round, *value);
             }
         }
         trace.msg_stats += &o.stats;
@@ -284,311 +365,326 @@ where
         trace.rounds_executed = trace.rounds_executed.max(o.rounds_executed);
         algs_back.extend(o.algs);
     }
-    trace.faults.finalize();
-    (trace, algs_back)
-}
-
-/// The per-thread round loop over one contiguous shard of processes.
-#[allow(clippy::too_many_arguments)]
-fn run_shard<S, A, T>(
-    schedule: &S,
-    range: std::ops::Range<usize>,
-    mut algs: Vec<A>,
-    rx: Receiver<Packet<T::Frame>>,
-    txs: &[Sender<Packet<T::Frame>>],
-    shard_of: &[usize],
-    barrier: &ParkingBarrier,
-    windowed: &WindowedBarrier,
-    decided: &[AtomicBool],
-    until: RunUntil,
-    transport: &T,
-) -> ShardOutcome<A>
-where
-    S: Schedule + Sync + ?Sized,
-    A: RoundAlgorithm,
-    A::Msg: WireSized,
-    T: Transport<A::Msg>,
-{
-    let n = schedule.n();
-    let me = shard_of[range.start];
-    let k = range.len();
-    let static_horizon = until.static_horizon();
-    let mut stats = MsgStats::default();
-    let mut faults = FaultStats::new();
-    let mut first_decisions: Vec<Option<(Round, Value)>> = vec![None; k];
-    let mut anomalies = Vec::new();
-    // Early arrivals from a future round (a sender shard raced ahead), and —
-    // for deferring transports — this shard's own intra-shard frames, parked
-    // here at broadcast time instead of being handed off directly. Frames
-    // stay packed until their round is processed, so a speculative broadcast
-    // that gets rolled back never records faults.
-    let mut stash: VecDeque<Packet<T::Frame>> = VecDeque::new();
-    // Round-loop buffers, reused across rounds: the communication graph and
-    // one delivery vector per resident process. With a non-deferring
-    // transport, intra-shard messages are written into `rcvs` directly at
-    // broadcast time; only packets from other shards flow through `rx`.
-    let mut g = Digraph::empty(n);
-    let mut rcvs: Vec<Received<A::Msg>> = (0..k).map(|_| Received::new(n)).collect();
-    // One decode per (round, sender) shared by every resident receiver.
-    let mut cache: DecodeCache<A::Msg> = DecodeCache::new();
-    let mut r: Round = FIRST_ROUND;
-
-    // 1. Send along the out-edges of G^r (round 1 here; later rounds
-    //    broadcast at the close of the previous round, see step 4).
-    broadcast(
-        schedule, &range, &algs, r, &mut g, &mut rcvs, &mut stash, txs, shard_of, &mut stats,
-        transport,
-    );
-
-    loop {
-        // 2. Receive one frame per in-edge of G^r. With a non-deferring
-        // transport, intra-shard messages are already in `rcvs`; count what
-        // must still arrive (via the stash or the channel) and drain until
-        // every resident process is complete. A frame the plane destroys
-        // still *arrives* — it is unpacked to a fault record instead of a
-        // delivery — so the count is exact either way.
-        let mut remaining = 0usize;
-        for p in range.clone() {
-            for q in g.in_neighbors(ProcessId::from_usize(p)).iter() {
-                remaining += usize::from(T::DEFERS_LOCAL || shard_of[q.index()] != me);
-            }
-        }
-        // First consume stashed packets that belong to this round.
-        let stashed = std::mem::take(&mut stash);
-        for (pr, q, to, f) in stashed {
-            if pr == r {
-                match transport.unpack(r, q, to, f, &mut cache) {
-                    Delivery::Deliver(m) => rcvs[to.index() - range.start].insert(q, m),
-                    Delivery::Dropped => faults.record(r, q, to, FaultCause::Dropped),
-                    Delivery::Quarantined(e) => {
-                        faults.record(r, q, to, FaultCause::Quarantined(e));
-                    }
-                }
-                remaining -= 1;
-            } else {
-                stash.push_back((pr, q, to, f));
-            }
-        }
-        while remaining > 0 {
-            let (pr, q, to, f) = rx.recv().expect("message channel closed mid-round");
-            if pr == r {
-                debug_assert!(
-                    g.in_neighbors(to).contains(q),
-                    "unexpected sender {q} for {to} in round {r}"
-                );
-                match transport.unpack(r, q, to, f, &mut cache) {
-                    Delivery::Deliver(m) => rcvs[to.index() - range.start].insert(q, m),
-                    Delivery::Dropped => faults.record(r, q, to, FaultCause::Dropped),
-                    Delivery::Quarantined(e) => {
-                        faults.record(r, q, to, FaultCause::Quarantined(e));
-                    }
-                }
-                remaining -= 1;
-            } else {
-                debug_assert!(pr > r, "stale round-{pr} packet in round {r}");
-                stash.push_back((pr, q, to, f));
-            }
-        }
-
-        // 3. Transition every resident process, then publish decision
-        // status. Clearing each delivery vector right after its transition
-        // drops the round's message handles before the round closes, so
-        // double-buffered senders can reclaim their old payload buffer.
-        for (i, alg) in algs.iter_mut().enumerate() {
-            let p = ProcessId::from_usize(range.start + i);
-            alg.receive(r, &rcvs[i]);
-            rcvs[i].clear();
-            if let Some(v) = alg.decision() {
-                match first_decisions[i] {
-                    None => {
-                        first_decisions[i] = Some((r, v));
-                        decided[p.index()].store(true, Ordering::Release);
-                    }
-                    Some((r0, v0)) if v0 != v => anomalies.push(format!(
-                        "process {p} changed its decision from {v0} (round {r0}) to {v} (round {r})"
-                    )),
-                    Some(_) => {}
-                }
-            }
-        }
-        cache.clear();
-
-        // 4. Close the round.
-        let stop = match static_horizon {
-            // Fixed horizon: every shard stops at the same round without
-            // coordination; the windowed barrier only bounds skew (and so
-            // channel backlog) to the plan's window length.
-            //
-            // Partial final window (`horizon % K != 0`): the last full
-            // barrier fires at `K·⌊(horizon − 1)/K⌋` and the remaining
-            // rounds free-run on every shard. This cannot stall or skew:
-            //
-            // * `round_end(r)` is reached for exactly `r ∈ [1, horizon)` on
-            //   every shard — the same set, since the horizon is global —
-            //   so barrier participation stays symmetric through the
-            //   partial window (no shard waits on a phase a peer skipped);
-            // * a shard at round `r` has already broadcast every round
-            //   `≤ r` (round `r + 1` is sent *before* this window check),
-            //   so any packet a slower shard can block on in step 2 is in
-            //   its channel before the faster shard could possibly park —
-            //   and the exiting shard's `Sender`s stay alive in the main
-            //   thread's scope, keeping queued packets deliverable after
-            //   it returns.
-            //
-            // `tests/engines_equiv.rs` pins the resulting traces against
-            // lockstep for K ∈ {2, 7} with non-divisible horizons.
-            Some(horizon) => {
-                let stop = r >= horizon;
-                if !stop {
-                    broadcast(
-                        schedule,
-                        &range,
-                        &algs,
-                        r + 1,
-                        &mut g,
-                        &mut rcvs,
-                        &mut stash,
-                        txs,
-                        shard_of,
-                        &mut stats,
-                        transport,
-                    );
-                    windowed.round_end(r);
-                }
-                stop
-            }
-            // All-decided: broadcast round r + 1 *speculatively before
-            // arriving*, then close the round with a single parking-barrier
-            // phase — the last shard evaluates the stop condition for
-            // everyone. Because every shard broadcast before arriving, the
-            // barrier release finds the entire next round already queued:
-            // the receive phase above never blocks, and this barrier is the
-            // round's only park.
-            None => {
-                let spec = broadcast(
-                    schedule,
-                    &range,
-                    &algs,
-                    r + 1,
-                    &mut g,
-                    &mut rcvs,
-                    &mut stash,
-                    txs,
-                    shard_of,
-                    &mut stats,
-                    transport,
-                );
-                let stop = barrier.wait_eval(|| {
-                    let all = decided.iter().all(|d| d.load(Ordering::Acquire));
-                    until.should_stop(r, all)
-                });
-                if stop {
-                    // The speculative round-(r + 1) broadcast never
-                    // executes: take it back out of the accounting (its
-                    // packets die unread with the channels and the local
-                    // delivery buffers).
-                    stats -= &spec;
-                }
-                stop
-            }
-        };
-        if stop {
-            return ShardOutcome {
-                algs,
-                first_decisions,
-                stats,
-                faults,
-                anomalies,
-                rounds_executed: r,
-            };
-        }
-        r += 1;
+    if released {
+        return Err(Aborted.into());
     }
+    trace.faults.finalize();
+    Ok((trace, algs_back))
 }
 
-/// Runs the sending function of every process in `range` for round `r`,
-/// packs each message through the transport and delivers the frames along
-/// the out-edges of `G^r` (left in `g`): with a non-deferring transport,
-/// intra-shard edges are written straight into the local delivery buffers
-/// `rcvs`; with a deferring one ([`Transport::DEFERS_LOCAL`]) they are
-/// parked in `stash` so the fault plane gets to touch them at round time
-/// like any channel frame. Inter-shard edges become one packet on the
-/// owning shard's channel either way. Deliveries count only the frames the
-/// fault plane lets through. Returns the broadcast's own stats so a
-/// speculative broadcast can be rolled back if the round never executes.
-#[allow(clippy::too_many_arguments)]
-fn broadcast<S, A, T>(
-    schedule: &S,
-    range: &std::ops::Range<usize>,
-    algs: &[A],
-    r: Round,
-    g: &mut Digraph,
-    rcvs: &mut [Received<A::Msg>],
-    stash: &mut VecDeque<Packet<T::Frame>>,
-    txs: &[Sender<Packet<T::Frame>>],
-    shard_of: &[usize],
-    stats: &mut MsgStats,
-    transport: &T,
-) -> MsgStats
+/// What every shard thread shares, plus its own process range.
+struct Worker<'a, S: ?Sized, T> {
+    schedule: &'a S,
+    range: Range<usize>,
+    shard_of: &'a [usize],
+    barrier: &'a ParkingBarrier,
+    window: Round,
+    decided: &'a [AtomicBool],
+    until: RunUntil,
+    transport: &'a T,
+}
+
+/// A shard's round-loop state, reused across rounds: the communication
+/// graph, one delivery vector per resident process, the stash, and the
+/// shard's running message statistics.
+struct Buffers<M, F> {
+    g: Digraph,
+    rcvs: Vec<Received<M>>,
+    /// Early arrivals from a future round (a sender shard raced ahead),
+    /// and — for deferring transports — this shard's own intra-shard
+    /// frames, parked here at broadcast time instead of being handed off
+    /// directly. Frames stay packed until their round is processed, so a
+    /// speculative broadcast that gets rolled back never records faults.
+    stash: VecDeque<Packet<F>>,
+    stats: MsgStats,
+}
+
+impl<S, T> Worker<'_, S, T>
 where
     S: Schedule + Sync + ?Sized,
-    A: RoundAlgorithm,
-    A::Msg: WireSized,
-    T: Transport<A::Msg>,
 {
-    schedule.graph_into(r, g);
-    let me = shard_of[range.start];
-    let mut totals = MsgStats::default();
-    for (i, alg) in algs.iter().enumerate() {
-        let p = ProcessId::from_usize(range.start + i);
-        let msg = Arc::new(alg.send(r));
-        let sz = msg.wire_bytes() as u64;
-        let frame = transport.pack(&msg);
-        let receivers = g.out_neighbors(p);
-        let cnt = transport.delivered_count(r, p, receivers);
-        totals.broadcasts += 1;
-        totals.broadcast_bytes += sz;
-        totals.deliveries += cnt;
-        totals.delivered_bytes += sz * cnt;
-        for v in receivers.iter() {
-            let s = shard_of[v.index()];
-            if s == me {
-                if T::DEFERS_LOCAL {
+    /// The round loop over this shard. `Err(Some(e))` means this shard's
+    /// link failed (the barrier is then aborted for everyone);
+    /// `Err(None)` means a peer's failure released this shard.
+    fn run<A, L>(&self, algs: Vec<A>, mut link: L) -> Result<ShardOutcome<A>, Option<L::Error>>
+    where
+        A: RoundAlgorithm,
+        A::Msg: WireSized,
+        T: Transport<A::Msg>,
+        L: Link<T::Frame>,
+    {
+        let out = self.round_loop(algs, &mut link);
+        if let Err(Some(_)) = out {
+            self.barrier.abort();
+        }
+        out
+    }
+
+    fn round_loop<A, L>(
+        &self,
+        mut algs: Vec<A>,
+        link: &mut L,
+    ) -> Result<ShardOutcome<A>, Option<L::Error>>
+    where
+        A: RoundAlgorithm,
+        A::Msg: WireSized,
+        T: Transport<A::Msg>,
+        L: Link<T::Frame>,
+    {
+        let n = self.schedule.n();
+        let range = self.range.clone();
+        let me = self.shard_of[range.start];
+        let k = range.len();
+        let transport = self.transport;
+        let mut faults = FaultStats::new();
+        let mut first_decisions: Vec<Option<(Round, Value)>> = vec![None; k];
+        let mut anomalies = Vec::new();
+        // With a non-deferring transport, intra-shard messages are written
+        // into `rcvs` directly at broadcast time; only packets from other
+        // shards flow through the link.
+        let mut buf = Buffers {
+            g: Digraph::empty(n),
+            rcvs: (0..k).map(|_| Received::new(n)).collect(),
+            stash: VecDeque::new(),
+            stats: MsgStats::default(),
+        };
+        // One decode per (round, sender) shared by every resident
+        // receiver, whether its frame came from the stash or the link.
+        let mut cache: DecodeCache<A::Msg> = DecodeCache::new();
+        let mut r: Round = FIRST_ROUND;
+
+        // 1. Send along the out-edges of G^r (round 1 here; later rounds
+        //    broadcast at the close of the previous round, see step 4).
+        self.broadcast(&algs, r, &mut buf, link).map_err(Some)?;
+
+        loop {
+            // 2. Receive one frame per in-edge of G^r. With a non-deferring
+            // transport, intra-shard messages are already in `rcvs`; count
+            // what must still arrive (via the stash or the link) and drain
+            // until every resident process is complete. A frame the plane
+            // destroys still *arrives* — it is unpacked to a fault record
+            // instead of a delivery — so the count is exact either way.
+            let mut remaining = 0usize;
+            for p in range.clone() {
+                for q in buf.g.in_neighbors(ProcessId::from_usize(p)).iter() {
+                    remaining += usize::from(T::DEFERS_LOCAL || self.shard_of[q.index()] != me);
+                }
+            }
+            let mut deliver = |q: ProcessId, to: ProcessId, f: T::Frame| match transport
+                .unpack(r, q, to, f, &mut cache)
+            {
+                Delivery::Deliver(m) => buf.rcvs[to.index() - range.start].insert(q, m),
+                Delivery::Dropped => faults.record(r, q, to, FaultCause::Dropped),
+                Delivery::Quarantined(e) => {
+                    faults.record(r, q, to, FaultCause::Quarantined(e));
+                }
+            };
+            // First consume stashed packets that belong to this round.
+            let stashed = std::mem::take(&mut buf.stash);
+            for (pr, q, to, f) in stashed {
+                if pr == r {
+                    deliver(q, to, f);
+                    remaining -= 1;
+                } else {
+                    buf.stash.push_back((pr, q, to, f));
+                }
+            }
+            while remaining > 0 {
+                let (pr, q, to, f) = link.recv(r).map_err(Some)?;
+                if pr == r {
+                    debug_assert!(
+                        buf.g.in_neighbors(to).contains(q),
+                        "unexpected sender {q} for {to} in round {r}"
+                    );
+                    deliver(q, to, f);
+                    remaining -= 1;
+                } else {
+                    debug_assert!(pr > r, "stale round-{pr} packet in round {r}");
+                    buf.stash.push_back((pr, q, to, f));
+                }
+            }
+
+            // 3. Transition every resident process, then publish decision
+            // status. Clearing each delivery vector right after its
+            // transition drops the round's message handles before the round
+            // closes, so double-buffered senders can reclaim their old
+            // payload buffer.
+            for (i, alg) in algs.iter_mut().enumerate() {
+                let p = ProcessId::from_usize(range.start + i);
+                alg.receive(r, &buf.rcvs[i]);
+                buf.rcvs[i].clear();
+                if let Some(v) = alg.decision() {
+                    match first_decisions[i] {
+                        None => {
+                            first_decisions[i] = Some((r, v));
+                            // ordering: Release pairs with the leader's
+                            // Acquire sweep in step 4. The barrier's AcqRel
+                            // arrival already orders this store before the
+                            // sweep; the pair keeps the flag protocol
+                            // self-standing. Fixed-horizon runs never read it.
+                            self.decided[p.index()].store(true, Ordering::Release);
+                        }
+                        Some((r0, v0)) if v0 != v => anomalies.push(format!(
+                            "process {p} changed its decision from {v0} (round {r0}) to {v} (round {r})"
+                        )),
+                        Some(_) => {}
+                    }
+                }
+            }
+            cache.clear();
+
+            // 4. Close the round.
+            let stop = match self.until.static_horizon() {
+                // Fixed horizon: every shard stops at the same round without
+                // coordination; the barrier, entered only every `window`-th
+                // round, bounds skew (and so link backlog) to the window.
+                //
+                // Partial final window (`horizon % K != 0`): the last full
+                // barrier fires at `K·⌊(horizon − 1)/K⌋` and the remaining
+                // rounds free-run on every shard. This cannot stall or skew:
+                //
+                // * the window check runs for exactly `r ∈ [1, horizon)` on
+                //   every shard — the same set, since the horizon is global —
+                //   so barrier participation stays symmetric through the
+                //   partial window (no shard waits on a phase a peer skipped);
+                // * a shard at round `r` has already broadcast every round
+                //   `≤ r` (round `r + 1` is sent *before* this window check),
+                //   so any packet a slower shard can block on in step 2 is in
+                //   its inbox before the faster shard could possibly park —
+                //   and the exiting shard's senders outlive it, keeping
+                //   queued packets deliverable after it returns.
+                //
+                // `tests/engines_equiv.rs` pins the resulting traces against
+                // lockstep for K ∈ {2, 7} with non-divisible horizons.
+                Some(horizon) => {
+                    let stop = r >= horizon;
+                    if !stop {
+                        self.broadcast(&algs, r + 1, &mut buf, link).map_err(Some)?;
+                        if r.is_multiple_of(self.window) {
+                            self.barrier.wait().map_err(|Aborted| None)?;
+                        }
+                    }
+                    stop
+                }
+                // All-decided: broadcast round r + 1 *speculatively before
+                // arriving*, then close the round with a single barrier
+                // phase — the last shard evaluates the stop condition for
+                // everyone. Because every shard broadcast before arriving,
+                // the barrier release finds the entire next round already
+                // queued: the receive phase above never blocks, and this
+                // barrier is the round's only park.
+                None => {
+                    let spec = self.broadcast(&algs, r + 1, &mut buf, link).map_err(Some)?;
+                    let stop = self
+                        .barrier
+                        .wait_eval(|| {
+                            // ordering: Acquire pairs with every shard's
+                            // Release store of its processes' flags in
+                            // step 3, made before the shard arrived.
+                            let all = self.decided.iter().all(|d| d.load(Ordering::Acquire));
+                            self.until.should_stop(r, all)
+                        })
+                        .map_err(|Aborted| None)?;
+                    if stop {
+                        // The speculative round-(r + 1) broadcast never
+                        // executes: take it back out of the accounting (its
+                        // packets die unread in the inboxes and the local
+                        // delivery buffers).
+                        buf.stats -= &spec;
+                    }
+                    stop
+                }
+            };
+            if stop {
+                return Ok(ShardOutcome {
+                    algs,
+                    first_decisions,
+                    stats: buf.stats,
+                    faults,
+                    anomalies,
+                    rounds_executed: r,
+                });
+            }
+            r += 1;
+        }
+    }
+
+    /// Runs the sending function of every resident process for round `r`,
+    /// packs each message through the transport and delivers the frames
+    /// along the out-edges of `G^r` (left in `buf.g`): with a non-deferring
+    /// transport, intra-shard edges are written straight into the local
+    /// delivery buffers; with a deferring one ([`Transport::DEFERS_LOCAL`])
+    /// they are parked in the stash so the fault plane gets to touch them
+    /// at round time like any link frame. Inter-shard edges become one
+    /// packet on the link either way. Deliveries count only the frames the
+    /// fault plane lets through. Returns the broadcast's own stats so a
+    /// speculative broadcast can be rolled back if the round never executes.
+    fn broadcast<A, L>(
+        &self,
+        algs: &[A],
+        r: Round,
+        buf: &mut Buffers<A::Msg, T::Frame>,
+        link: &mut L,
+    ) -> Result<MsgStats, L::Error>
+    where
+        A: RoundAlgorithm,
+        A::Msg: WireSized,
+        T: Transport<A::Msg>,
+        L: Link<T::Frame>,
+    {
+        self.schedule.graph_into(r, &mut buf.g);
+        let start = self.range.start;
+        let me = self.shard_of[start];
+        let mut totals = MsgStats::default();
+        for (i, alg) in algs.iter().enumerate() {
+            let p = ProcessId::from_usize(start + i);
+            let msg = Arc::new(alg.send(r));
+            let sz = msg.wire_bytes() as u64;
+            let frame = self.transport.pack(&msg);
+            let receivers = buf.g.out_neighbors(p);
+            let cnt = self.transport.delivered_count(r, p, receivers);
+            totals.broadcasts += 1;
+            totals.broadcast_bytes += sz;
+            totals.deliveries += cnt;
+            totals.delivered_bytes += sz * cnt;
+            for v in receivers.iter() {
+                let s = self.shard_of[v.index()];
+                if s != me {
+                    link.send(s, (r, p, v, frame.clone()))?;
+                } else if T::DEFERS_LOCAL {
                     // Codec mode: even an intra-shard frame goes through the
                     // stash so it is unpacked (and possibly faulted) when
                     // round `r` is actually processed.
-                    stash.push_back((r, p, v, frame.clone()));
+                    buf.stash.push_back((r, p, v, frame.clone()));
                 } else {
                     // Intra-shard: a direct in-memory hand-off. The buffer
                     // is free to take round-(r) payloads — its round-(r − 1)
                     // contents were consumed and cleared before this
                     // broadcast. Non-deferring transports never fault and
                     // have nothing to decode, so they get an empty memo.
-                    match transport.unpack(r, p, v, frame.clone(), &mut DecodeCache::new()) {
-                        Delivery::Deliver(m) => rcvs[v.index() - range.start].insert(p, m),
+                    match self
+                        .transport
+                        .unpack(r, p, v, frame.clone(), &mut DecodeCache::new())
+                    {
+                        Delivery::Deliver(m) => buf.rcvs[v.index() - start].insert(p, m),
                         _ => unreachable!("non-deferring transport faulted a local hand-off"),
                     }
                 }
-            } else {
-                txs[s]
-                    .send((r, p, v, frame.clone()))
-                    .expect("recipient shard channel closed");
             }
         }
+        buf.stats += &totals;
+        Ok(totals)
     }
-    *stats += &totals;
-    totals
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::lockstep::run_lockstep;
-    use crate::engine::threaded::run_threaded;
     use crate::schedule::{FixedSchedule, TableSchedule};
     use sskel_graph::Digraph;
 
-    /// Same toy algorithm as the lockstep and threaded tests.
+    /// Same toy algorithm as the lockstep tests.
     struct MinFlood {
         x: Value,
         horizon: Round,
@@ -637,7 +733,8 @@ mod tests {
     #[test]
     fn sharded_matches_lockstep_on_synchronous_runs() {
         for n in [1usize, 2, 3, 8, 16] {
-            for shards in [1usize, 2, 3, 5] {
+            // `n` shards: one process per thread.
+            for shards in [1usize, 2, 3, 5, n] {
                 let s = FixedSchedule::synchronous(n);
                 let until = RunUntil::AllDecided { max_rounds: 20 };
                 let (t1, _) = run_lockstep(&s, spawn(n, 3), until);
@@ -669,21 +766,24 @@ mod tests {
         );
         let until = RunUntil::Rounds(8);
         let (t1, _) = run_lockstep(&s, spawn(n, 5), until);
-        for window in [1u32, 3, 8, 100] {
-            let plan = ShardPlan::new(3).with_window(window);
+        let plans = [1u32, 3, 8, 100]
+            .map(|window| ShardPlan::new(3).with_window(window))
+            .into_iter()
+            .chain([ShardPlan::new(n)]);
+        for plan in plans {
             let (t2, _) = run_sharded(&s, spawn(n, 5), until, plan);
-            assert_eq!(t1.decisions, t2.decisions, "window={window}");
-            assert_eq!(t1.msg_stats, t2.msg_stats, "window={window}");
+            assert_eq!(t1.decisions, t2.decisions, "{plan:?}");
+            assert_eq!(t1.msg_stats, t2.msg_stats, "{plan:?}");
             assert_eq!(t1.rounds_executed, t2.rounds_executed);
         }
     }
 
     #[test]
-    fn sharded_matches_threaded_msg_stats() {
+    fn one_process_per_shard_matches_four_shards() {
         let n = 9;
         let s = FixedSchedule::synchronous(n);
         let until = RunUntil::AllDecided { max_rounds: 12 };
-        let (a, _) = run_threaded(&s, spawn(n, 4), until);
+        let (a, _) = run_sharded(&s, spawn(n, 4), until, ShardPlan::new(n));
         let (b, _) = run_sharded(&s, spawn(n, 4), until, ShardPlan::new(4));
         assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.msg_stats, b.msg_stats);
@@ -692,14 +792,16 @@ mod tests {
     #[test]
     fn stops_when_everyone_decided() {
         let s = FixedSchedule::synchronous(4);
-        let (trace, _) = run_sharded(
-            &s,
-            spawn(4, 2),
-            RunUntil::AllDecided { max_rounds: 50 },
-            ShardPlan::new(2),
-        );
-        assert!(trace.all_decided());
-        assert_eq!(trace.rounds_executed, 2);
+        for shards in [2, 4] {
+            let (trace, _) = run_sharded(
+                &s,
+                spawn(4, 2),
+                RunUntil::AllDecided { max_rounds: 50 },
+                ShardPlan::new(shards),
+            );
+            assert!(trace.all_decided());
+            assert_eq!(trace.rounds_executed, 2);
+        }
     }
 
     #[test]

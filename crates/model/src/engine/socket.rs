@@ -21,20 +21,22 @@
 //!   ([`PacketStream`]) and forwards them into the receiving shard's
 //!   inbox, so TCP backpressure can never deadlock a round (senders
 //!   always find a draining peer).
-//! * **control plane** — round closing stays in shared memory: the same
-//!   speculative-broadcast + leader-verdict protocol as the sharded
-//!   engine under [`RunUntil::AllDecided`], and a windowed skew bound
-//!   under a fixed horizon — but on an *abortable* barrier, so one
-//!   shard's socket failure releases every peer with a typed error
-//!   instead of a hang.
+//! * **control plane** — round closing stays in shared memory: each
+//!   shard runs the sharded engine's own worker over a TCP link, so the
+//!   speculative-broadcast + leader-verdict protocol under
+//!   [`RunUntil::AllDecided`] and the windowed skew bound under a fixed
+//!   horizon are literally the same code. A link failure aborts the
+//!   shared barrier, so one shard's socket trouble releases every peer
+//!   with a typed error instead of a hang.
 //! * **failure domain** — socket-level trouble is **transport**-fatal
 //!   and typed ([`SocketError`]): a mid-frame stall past the read
 //!   timeout, a disconnect inside a packet, junk or oversized stream
 //!   framing, a round that cannot assemble within its budget. In-frame
 //!   corruption injected by the [`FaultPlane`] stays per-edge and
 //!   recoverable: it is quarantined into the run's
-//!   [`crate::fault::FaultStats`] at [`Transport::unpack`] time, exactly
-//!   like the in-process codec engines.
+//!   [`crate::fault::FaultStats`] at
+//!   [`crate::fault::Transport::unpack`] time, exactly like the
+//!   in-process codec engines.
 //!
 //! Because the fault plane is evaluated at the receiver as a pure
 //! function of `(seed, round, from, to)` and all trace accounting is
@@ -48,27 +50,25 @@
 //! model, timeout semantics and framing are documented in
 //! `docs/CONCURRENCY.md`.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel as unbounded, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use sskel_graph::{Digraph, ProcessId, Round, FIRST_ROUND};
+use sskel_graph::Round;
 
-use crate::algorithm::{Received, RoundAlgorithm, Value};
-use crate::engine::sharded::ShardPlan;
+use crate::algorithm::RoundAlgorithm;
+use crate::engine::sharded::{run_shards, Link, Packet, ShardPlan};
 use crate::engine::RunUntil;
 use crate::fault::{
-    encode_packet, CodecTransport, DecodeCache, Delivery, FaultCause, FaultPlane, FaultStats,
-    FramedPacket, NoFaults, PacketBuffer, Transport,
+    encode_packet, CodecTransport, FaultPlane, FramedPacket, NoFaults, PacketBuffer,
 };
 use crate::schedule::Schedule;
-use crate::trace::{MsgStats, RunTrace};
-use crate::wire::{try_read_uvarint, write_uvarint, Wire, WireError, WireSized};
+use crate::sync::Aborted;
+use crate::trace::RunTrace;
+use crate::wire::{try_read_uvarint, write_uvarint, Wire, WireError};
 
 /// How [`run_socket`] divides the system across shard threads and what
 /// its socket timeouts are.
@@ -389,116 +389,83 @@ impl PacketStream {
     }
 }
 
-/// An inter-shard packet as the shard inboxes carry it.
-type Packet = (Round, ProcessId, ProcessId, Bytes);
-
 /// What a reader thread forwards: a parsed packet, or the typed error
 /// that killed its connection.
-type Inbound = Result<Packet, SocketError>;
+type Inbound = Result<Packet<Bytes>, SocketError>;
 
-/// What one shard thread hands back when the run stops (mirrors the
-/// sharded engine's outcome record).
-struct ShardOutcome<A> {
-    algs: Vec<A>,
-    first_decisions: Vec<Option<(Round, Value)>>,
-    stats: MsgStats,
-    faults: FaultStats,
-    anomalies: Vec<String>,
-    rounds_executed: Round,
+impl From<Aborted> for SocketError {
+    fn from(_: Aborted) -> Self {
+        SocketError::Aborted
+    }
 }
 
-/// A generation barrier whose waits can fail: like
-/// [`crate::sync::ParkingBarrier::wait_eval`] but any participant can
-/// [`AbortableBarrier::abort`] the whole barrier, releasing every
-/// current and future waiter with an error — a shard whose socket died
-/// must never leave its peers parked forever. Socket rounds park in the
-/// kernel anyway (reads, channel waits), so this barrier skips the spin
-/// phase and goes straight to a `Condvar`.
-struct AbortableBarrier {
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-    parties: usize,
+/// One shard's TCP link: its outbound streams, indexed by destination
+/// shard, and the inbox its reader threads feed. Every failure it reports
+/// also raises the run's abort flag, so the reader threads stop
+/// forwarding.
+struct SocketLink<'a> {
+    shard: usize,
+    outs: Vec<Option<TcpStream>>,
+    inbox: Receiver<Inbound>,
+    abort: &'a AtomicBool,
+    round_timeout: Duration,
+    /// The round being assembled and its wall-clock deadline, set by the
+    /// round's first `recv`.
+    deadline: Option<(Round, Instant)>,
 }
 
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    verdict: bool,
-    aborted: bool,
+impl SocketLink<'_> {
+    fn fail(&self, e: SocketError) -> SocketError {
+        // ordering: Release pairs with the readers' Acquire poll; the flag
+        // publishes nothing else.
+        self.abort.store(true, Ordering::Release);
+        e
+    }
 }
 
-impl AbortableBarrier {
-    fn new(parties: usize) -> Self {
-        AbortableBarrier {
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-                verdict: false,
-                aborted: false,
-            }),
-            cv: Condvar::new(),
-            parties,
+impl Link<Bytes> for SocketLink<'_> {
+    type Error = SocketError;
+
+    /// One [`encode_packet`]-framed write on the destination's stream.
+    fn send(
+        &mut self,
+        to: usize,
+        (r, from, dest, frame): Packet<Bytes>,
+    ) -> Result<(), SocketError> {
+        let pkt = encode_packet(r, from, dest, &frame);
+        let stream = self.outs[to].as_mut().expect("missing outbound stream");
+        match stream.write_all(&pkt) {
+            Ok(()) => Ok(()),
+            Err(source) => Err(self.fail(SocketError::Io { peer: to, source })),
         }
     }
 
-    /// Waits for all parties; the last arriver evaluates `eval` and all
-    /// parties return its verdict — unless the barrier was aborted, in
-    /// which case every waiter gets `Err(Aborted)`.
-    fn wait_eval(&self, eval: impl FnOnce() -> bool) -> Result<bool, SocketError> {
-        let mut st = self.state.lock().expect("barrier mutex poisoned");
-        if st.aborted {
-            return Err(SocketError::Aborted);
-        }
-        let gen = st.generation;
-        st.arrived += 1;
-        if st.arrived == self.parties {
-            st.arrived = 0;
-            st.generation += 1;
-            let verdict = eval();
-            st.verdict = verdict;
-            drop(st);
-            self.cv.notify_all();
-            return Ok(verdict);
-        }
-        loop {
-            st = self.cv.wait(st).expect("barrier mutex poisoned");
-            if st.aborted {
-                return Err(SocketError::Aborted);
+    /// Waits for the next inbound packet, bounded by the round budget,
+    /// which starts at the round's first wait.
+    fn recv(&mut self, r: Round) -> Result<Packet<Bytes>, SocketError> {
+        let deadline = match self.deadline {
+            Some((dr, d)) if dr == r => d,
+            _ => {
+                let d = Instant::now() + self.round_timeout;
+                self.deadline = Some((r, d));
+                d
             }
-            if st.generation != gen {
-                return Ok(st.verdict);
-            }
+        };
+        match self
+            .inbox
+            .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        {
+            Ok(Ok(packet)) => Ok(packet),
+            Ok(Err(e)) => Err(self.fail(e)),
+            Err(RecvTimeoutError::Timeout) => Err(self.fail(SocketError::Timeout {
+                shard: self.shard,
+                round: r,
+            })),
+            // The engine keeps every sender alive until all shards have
+            // joined; a disconnect here means the run is being torn down
+            // around us.
+            Err(RecvTimeoutError::Disconnected) => Err(SocketError::Aborted),
         }
-    }
-
-    fn wait(&self) -> Result<(), SocketError> {
-        self.wait_eval(|| false).map(|_| ())
-    }
-
-    /// Permanently fails the barrier, waking every waiter.
-    fn abort(&self) {
-        let mut st = self.state.lock().expect("barrier mutex poisoned");
-        st.aborted = true;
-        drop(st);
-        self.cv.notify_all();
-    }
-}
-
-/// Everything a shard needs to declare the run dead and get out: the
-/// shared abort flag plus both barriers to release.
-struct AbortHandle<'a> {
-    flag: &'a AtomicBool,
-    barrier: &'a AbortableBarrier,
-    windowed: &'a AbortableBarrier,
-}
-
-impl AbortHandle<'_> {
-    /// Marks the run aborted and returns `e` for propagation.
-    fn fail<T>(&self, e: SocketError) -> Result<T, SocketError> {
-        self.flag.store(true, Ordering::Release);
-        self.barrier.abort();
-        self.windowed.abort();
-        Err(e)
     }
 }
 
@@ -531,7 +498,7 @@ where
 /// intra-shard hand-offs that never touch a socket — passes through
 /// `plane` at the receiver, exactly like the in-process codec engines.
 /// Frames the plane destroys are quarantined into the trace's
-/// [`FaultStats`]; the resulting trace is byte-identical to
+/// [`crate::fault::FaultStats`]; the resulting trace is byte-identical to
 /// [`super::run_lockstep_codec`] over the same schedule, seed and
 /// horizon (pinned by `tests/fault_plane.rs` and `tests/conformance.rs`).
 ///
@@ -551,21 +518,8 @@ where
     P: FaultPlane,
 {
     let n = schedule.n();
-    assert_eq!(
-        algs.len(),
-        n,
-        "need exactly one algorithm instance per process"
-    );
-    let transport = CodecTransport::new(plane);
-
     let ranges = plan.ranges(n);
     let shards = ranges.len();
-    let mut shard_of = vec![0usize; n];
-    for (s, range) in ranges.iter().enumerate() {
-        for p in range.clone() {
-            shard_of[p] = s;
-        }
-    }
 
     // --- mesh establishment -------------------------------------------
     let mut listeners = Vec::with_capacity(shards);
@@ -589,35 +543,18 @@ where
 
     // --- run ----------------------------------------------------------
     let abort = AtomicBool::new(false);
-    let barrier = AbortableBarrier::new(shards);
-    let windowed = AbortableBarrier::new(shards);
-    let decided: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-
-    let mut txs: Vec<Sender<Inbound>> = Vec::with_capacity(shards);
-    let mut rxs: Vec<Option<Receiver<Inbound>>> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = unbounded();
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
-
-    let mut algs = algs;
-    let mut shard_algs: Vec<Vec<A>> = Vec::with_capacity(shards);
-    for range in ranges.iter().rev() {
-        shard_algs.push(algs.split_off(range.start));
-    }
-    shard_algs.reverse();
-
-    let mut outcomes: Vec<Option<Result<ShardOutcome<A>, SocketError>>> =
-        (0..shards).map(|_| None).collect();
-
+    // The senders live here until every shard and reader has joined, so a
+    // shard's inbox never disconnects mid-run.
+    let (txs, inboxes): (Vec<Sender<Inbound>>, Vec<_>) = (0..shards).map(|_| unbounded()).unzip();
     std::thread::scope(|scope| {
         // One reader thread per inbound connection: parse packets off
         // the wire and forward them (or the connection's death) into the
         // owning shard's inbox. Readers drain unconditionally, so a
         // sender's `write_all` can never block on a full kernel buffer
-        // for long — the flow-control argument of the sharded engine
+        // for long — the flow-control argument of the in-process engine
         // carries over with the backlog living in the unbounded inbox.
+        // They exit once their peer's worker drops its streams (EOF) or
+        // their own worker drops its inbox.
         for (t, conns) in ins.into_iter().enumerate() {
             for (peer, stream) in conns {
                 let tx = txs[t].clone();
@@ -631,64 +568,29 @@ where
                 });
             }
         }
-
-        let mut handles = Vec::with_capacity(shards);
-        for ((s, owned), conns) in shard_algs.into_iter().enumerate().zip(outs) {
-            let rx = rxs[s].take().expect("receiver taken twice");
-            let range = ranges[s].clone();
-            let shard_of = &shard_of;
-            let aborter = AbortHandle {
-                flag: &abort,
-                barrier: &barrier,
-                windowed: &windowed,
-            };
-            let decided = &decided;
-            let transport = &transport;
-            let plan = &plan;
-            handles.push(scope.spawn(move || {
-                run_socket_shard(
-                    schedule, range, owned, rx, conns, shard_of, aborter, decided, until, plan,
-                    transport,
-                )
-            }));
-        }
-        for (s, h) in handles.into_iter().enumerate() {
-            outcomes[s] = Some(h.join().expect("shard thread panicked"));
-        }
-    });
-    drop(txs);
-
-    // One failing shard aborts the others; report the root cause (the
-    // lowest-indexed shard with a non-Aborted error), not the echo.
-    let mut aborted = false;
-    let mut collected = Vec::with_capacity(shards);
-    for outcome in outcomes {
-        match outcome.expect("missing shard outcome") {
-            Ok(o) => collected.push(o),
-            Err(SocketError::Aborted) => aborted = true,
-            Err(e) => return Err(e),
-        }
-    }
-    if aborted {
-        return Err(SocketError::Aborted);
-    }
-
-    let mut trace = RunTrace::new(n);
-    let mut algs_back = Vec::with_capacity(n);
-    for (s, o) in collected.into_iter().enumerate() {
-        for (i, first) in o.first_decisions.iter().enumerate() {
-            if let Some((round, value)) = first {
-                trace.record_decision(ProcessId::from_usize(ranges[s].start + i), *round, *value);
-            }
-        }
-        trace.msg_stats += &o.stats;
-        trace.faults.merge(o.faults);
-        trace.anomalies.extend(o.anomalies);
-        trace.rounds_executed = trace.rounds_executed.max(o.rounds_executed);
-        algs_back.extend(o.algs);
-    }
-    trace.faults.finalize();
-    Ok((trace, algs_back))
+        let links = outs
+            .into_iter()
+            .zip(inboxes)
+            .enumerate()
+            .map(|(shard, (outs, inbox))| SocketLink {
+                shard,
+                outs,
+                inbox,
+                abort: &abort,
+                round_timeout: plan.round_timeout,
+                deadline: None,
+            })
+            .collect();
+        run_shards(
+            schedule,
+            algs,
+            until,
+            &ranges,
+            plan.window,
+            &CodecTransport::new(plane),
+            links,
+        )
+    })
 }
 
 /// Opens the `shards · (shards − 1)` outbound connections: shard `s`
@@ -834,6 +736,8 @@ fn read_hello(stream: &mut TcpStream, deadline: Instant) -> Result<usize, Socket
 /// once, then exit), the inbox's shard is gone, or the run aborts.
 fn reader_loop(ps: &mut PacketStream, tx: &Sender<Inbound>, abort: &AtomicBool) {
     loop {
+        // ordering: Acquire pairs with `SocketLink::fail`'s Release store;
+        // the flag publishes nothing else.
         if abort.load(Ordering::Acquire) {
             return;
         }
@@ -856,273 +760,14 @@ fn reader_loop(ps: &mut PacketStream, tx: &Sender<Inbound>, abort: &AtomicBool) 
     }
 }
 
-/// The per-thread round loop over one contiguous shard of processes —
-/// the socket twin of the sharded engine's `run_shard`, with inter-shard
-/// frames written to TCP streams and every failure path routed through
-/// the abort handle so peers are always released.
-#[allow(clippy::too_many_arguments)]
-fn run_socket_shard<S, A, T>(
-    schedule: &S,
-    range: std::ops::Range<usize>,
-    mut algs: Vec<A>,
-    rx: Receiver<Inbound>,
-    mut outs: Vec<Option<TcpStream>>,
-    shard_of: &[usize],
-    aborter: AbortHandle<'_>,
-    decided: &[AtomicBool],
-    until: RunUntil,
-    plan: &SocketPlan,
-    transport: &T,
-) -> Result<ShardOutcome<A>, SocketError>
-where
-    S: Schedule + Sync + ?Sized,
-    A: RoundAlgorithm,
-    A::Msg: WireSized,
-    T: Transport<A::Msg, Frame = Bytes>,
-{
-    let n = schedule.n();
-    let me = shard_of[range.start];
-    let k = range.len();
-    let static_horizon = until.static_horizon();
-    let mut stats = MsgStats::default();
-    let mut faults = FaultStats::new();
-    let mut first_decisions: Vec<Option<(Round, Value)>> = vec![None; k];
-    let mut anomalies = Vec::new();
-    // Early arrivals from a future round, plus this shard's own
-    // intra-shard frames (the codec transport defers local hand-offs so
-    // the fault plane touches them at round time; see the sharded
-    // engine).
-    let mut stash: VecDeque<Packet> = VecDeque::new();
-    let mut g = Digraph::empty(n);
-    let mut rcvs: Vec<Received<A::Msg>> = (0..k).map(|_| Received::new(n)).collect();
-    // One decode per (round, sender) shared by every resident receiver,
-    // whether its frame came from the stash or over TCP.
-    let mut cache: DecodeCache<A::Msg> = DecodeCache::new();
-    let mut r: Round = FIRST_ROUND;
-
-    // 1. Send along the out-edges of G^r.
-    if let Err(e) = broadcast(
-        schedule, &range, &algs, r, &mut g, &mut stash, &mut outs, shard_of, &mut stats, transport,
-    ) {
-        return aborter.fail(e);
-    }
-
-    loop {
-        // 2. Receive one frame per in-edge of G^r (the codec transport
-        // defers local hand-offs, so every in-edge counts), bounded by
-        // the round budget.
-        let mut remaining = 0usize;
-        for p in range.clone() {
-            for q in g.in_neighbors(ProcessId::from_usize(p)).iter() {
-                remaining += usize::from(T::DEFERS_LOCAL || shard_of[q.index()] != me);
-            }
-        }
-        let stashed = std::mem::take(&mut stash);
-        for (pr, q, to, f) in stashed {
-            if pr == r {
-                match transport.unpack(r, q, to, f, &mut cache) {
-                    Delivery::Deliver(m) => rcvs[to.index() - range.start].insert(q, m),
-                    Delivery::Dropped => faults.record(r, q, to, FaultCause::Dropped),
-                    Delivery::Quarantined(e) => {
-                        faults.record(r, q, to, FaultCause::Quarantined(e));
-                    }
-                }
-                remaining -= 1;
-            } else {
-                stash.push_back((pr, q, to, f));
-            }
-        }
-        let round_deadline = Instant::now() + plan.round_timeout;
-        while remaining > 0 {
-            let budget = round_deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(budget) {
-                Ok(Ok((pr, q, to, f))) => {
-                    if pr == r {
-                        debug_assert!(
-                            g.in_neighbors(to).contains(q),
-                            "unexpected sender {q} for {to} in round {r}"
-                        );
-                        match transport.unpack(r, q, to, f, &mut cache) {
-                            Delivery::Deliver(m) => rcvs[to.index() - range.start].insert(q, m),
-                            Delivery::Dropped => faults.record(r, q, to, FaultCause::Dropped),
-                            Delivery::Quarantined(e) => {
-                                faults.record(r, q, to, FaultCause::Quarantined(e));
-                            }
-                        }
-                        remaining -= 1;
-                    } else {
-                        debug_assert!(pr > r, "stale round-{pr} packet in round {r}");
-                        stash.push_back((pr, q, to, f));
-                    }
-                }
-                Ok(Err(e)) => return aborter.fail(e),
-                Err(RecvTimeoutError::Timeout) => {
-                    return aborter.fail(SocketError::Timeout {
-                        shard: me,
-                        round: r,
-                    });
-                }
-                // The main thread keeps every sender alive until all
-                // shards have joined; a disconnect here means the run is
-                // being torn down around us.
-                Err(RecvTimeoutError::Disconnected) => return Err(SocketError::Aborted),
-            }
-        }
-
-        // 3. Transition every resident process, publish decision status.
-        for (i, alg) in algs.iter_mut().enumerate() {
-            let p = ProcessId::from_usize(range.start + i);
-            alg.receive(r, &rcvs[i]);
-            rcvs[i].clear();
-            if let Some(v) = alg.decision() {
-                match first_decisions[i] {
-                    None => {
-                        first_decisions[i] = Some((r, v));
-                        decided[p.index()].store(true, Ordering::Release);
-                    }
-                    Some((r0, v0)) if v0 != v => anomalies.push(format!(
-                        "process {p} changed its decision from {v0} (round {r0}) to {v} (round {r})"
-                    )),
-                    Some(_) => {}
-                }
-            }
-        }
-        cache.clear();
-
-        // 4. Close the round — same protocol as the sharded engine
-        // (windowed skew bound under a fixed horizon, speculative
-        // broadcast + leader verdict under all-decided), but on the
-        // abortable barrier.
-        let stop = match static_horizon {
-            Some(horizon) => {
-                let stop = r >= horizon;
-                if !stop {
-                    if let Err(e) = broadcast(
-                        schedule,
-                        &range,
-                        &algs,
-                        r + 1,
-                        &mut g,
-                        &mut stash,
-                        &mut outs,
-                        shard_of,
-                        &mut stats,
-                        transport,
-                    ) {
-                        return aborter.fail(e);
-                    }
-                    if r.is_multiple_of(plan.window) {
-                        aborter.windowed.wait()?;
-                    }
-                }
-                stop
-            }
-            None => {
-                let spec = match broadcast(
-                    schedule,
-                    &range,
-                    &algs,
-                    r + 1,
-                    &mut g,
-                    &mut stash,
-                    &mut outs,
-                    shard_of,
-                    &mut stats,
-                    transport,
-                ) {
-                    Ok(spec) => spec,
-                    Err(e) => return aborter.fail(e),
-                };
-                let stop = aborter.barrier.wait_eval(|| {
-                    let all = decided.iter().all(|d| d.load(Ordering::Acquire));
-                    until.should_stop(r, all)
-                })?;
-                if stop {
-                    // The speculative round never executes: roll its
-                    // accounting back (its packets die unread in the
-                    // inboxes and kernel buffers).
-                    stats -= &spec;
-                }
-                stop
-            }
-        };
-        if stop {
-            return Ok(ShardOutcome {
-                algs,
-                first_decisions,
-                stats,
-                faults,
-                anomalies,
-                rounds_executed: r,
-            });
-        }
-        r += 1;
-    }
-}
-
-/// Runs the sending function of every resident process for round `r` and
-/// ships the sealed frames along the out-edges of `G^r` (left in `g`):
-/// intra-shard edges are parked in `stash` (the codec transport defers
-/// them to round time), inter-shard edges become one
-/// [`encode_packet`]-framed write on the destination shard's stream.
-/// Accounting matches the in-process engines exactly. Returns the
-/// broadcast's own stats so a speculative broadcast can be rolled back.
-#[allow(clippy::too_many_arguments)]
-fn broadcast<S, A, T>(
-    schedule: &S,
-    range: &std::ops::Range<usize>,
-    algs: &[A],
-    r: Round,
-    g: &mut Digraph,
-    stash: &mut VecDeque<Packet>,
-    outs: &mut [Option<TcpStream>],
-    shard_of: &[usize],
-    stats: &mut MsgStats,
-    transport: &T,
-) -> Result<MsgStats, SocketError>
-where
-    S: Schedule + Sync + ?Sized,
-    A: RoundAlgorithm,
-    A::Msg: WireSized,
-    T: Transport<A::Msg, Frame = Bytes>,
-{
-    schedule.graph_into(r, g);
-    let me = shard_of[range.start];
-    let mut totals = MsgStats::default();
-    for (i, alg) in algs.iter().enumerate() {
-        let p = ProcessId::from_usize(range.start + i);
-        let msg = Arc::new(alg.send(r));
-        let sz = msg.wire_bytes() as u64;
-        let frame = transport.pack(&msg);
-        let receivers = g.out_neighbors(p);
-        let cnt = transport.delivered_count(r, p, receivers);
-        totals.broadcasts += 1;
-        totals.broadcast_bytes += sz;
-        totals.deliveries += cnt;
-        totals.delivered_bytes += sz * cnt;
-        for v in receivers.iter() {
-            let s = shard_of[v.index()];
-            if s == me {
-                stash.push_back((r, p, v, frame.clone()));
-            } else {
-                let pkt = encode_packet(r, p, v, &frame);
-                let stream = outs[s].as_mut().expect("missing outbound stream");
-                stream
-                    .write_all(&pkt)
-                    .map_err(|e| SocketError::Io { peer: s, source: e })?;
-            }
-        }
-    }
-    *stats += &totals;
-    Ok(totals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::{Received, Value};
     use crate::engine::lockstep::{run_lockstep, run_lockstep_codec};
     use crate::fault::CorruptionOverlay;
     use crate::schedule::{FixedSchedule, TableSchedule};
+    use sskel_graph::{Digraph, ProcessId};
 
     /// Same toy algorithm as the other engines' tests.
     #[derive(Debug)]
@@ -1265,24 +910,5 @@ mod tests {
         assert_eq!(plan.handshake_delays.len(), 3);
         assert_eq!(plan.handshake_delays[2], Duration::from_millis(5));
         assert_eq!(plan.handshake_delays[0], Duration::ZERO);
-    }
-
-    #[test]
-    fn abortable_barrier_releases_waiters_on_abort() {
-        let b = Arc::new(AbortableBarrier::new(2));
-        let waiter = {
-            let b = Arc::clone(&b);
-            std::thread::spawn(move || b.wait())
-        };
-        // Give the waiter a moment to park, then abort instead of
-        // arriving.
-        std::thread::sleep(Duration::from_millis(20));
-        b.abort();
-        assert!(matches!(
-            waiter.join().expect("waiter panicked"),
-            Err(SocketError::Aborted)
-        ));
-        // Future waits fail immediately.
-        assert!(matches!(b.wait(), Err(SocketError::Aborted)));
     }
 }

@@ -77,8 +77,8 @@ fn main() {
         sharded.msg_stats.delivered_bytes as f64 / (1024.0 * 1024.0)
     );
     println!(
-        "  (try the same n with run_threaded: 256 OS threads, one context \
-         switch per process per round — the sharded plan exists so you \
+        "  (try the same n with ShardPlan::new(n): 256 OS threads, one \
+         context switch per process per round — fewer shards exist so you \
          don't have to)"
     );
 }
